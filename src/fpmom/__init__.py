@@ -38,6 +38,7 @@ from .recurrence import (
     CoefficientTable,
     RadialDecomposition,
     amalgamated_moment,
+    amalgamated_projection,
     coefficient_table,
     decomposition_of,
     iter_decompositions,
@@ -48,6 +49,7 @@ from .oracle import (
     Mismatch,
     WalkTable,
     brute_force_budget,
+    ring_order_limit,
     self_test,
     verify_amalgamated,
     verify_radiality,
@@ -89,12 +91,14 @@ __all__ = [
     "decomposition_of",
     "scalar_moment",
     "amalgamated_moment",
+    "amalgamated_projection",
     "coefficient_table",
     "WalkTable",
     "DiffReport",
     "Mismatch",
     "walk_counts",
     "brute_force_budget",
+    "ring_order_limit",
     "verify_scalar",
     "verify_amalgamated",
     "verify_radiality",

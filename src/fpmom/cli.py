@@ -22,7 +22,13 @@ import sys
 
 from .recurrence import decomposition_of
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, generating_operator, power
-from .oracle import self_test, verify_amalgamated, verify_radiality, verify_scalar
+from .oracle import (
+    ring_order_limit,
+    self_test,
+    verify_amalgamated,
+    verify_radiality,
+    verify_scalar,
+)
 from .series import FORMATS, amalgamated_series, emit, scalar_series
 
 EXIT_OK = 0
@@ -100,7 +106,7 @@ def cmd_xdecomp(args: argparse.Namespace) -> int:
     _require(args.rank >= 1, "--rank must be >= 1")
     _require(args.power >= 1, "--power must be >= 1")
     dec = decomposition_of(args.power, args.rank)
-    rows = sorted(dec.coeffs.items(), reverse=True)
+    rows = list(dec.rows())
     _write_output(args, _xdecomp_payload(args, rows))
     if args.rank == 2 and args.power == 8:
         print(
@@ -125,6 +131,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _require(args.rank >= 1, "--rank must be >= 1")
     _require(args.max_order >= 1, "--max-order must be >= 1")
+    _require(
+        args.ring_max_order is None or args.ring_max_order >= 1,
+        "--ring-max-order must be >= 1 (--oracle tree skips the ring oracle)",
+    )
     cap = _resolve_cap(args)
 
     if args.self_test:
@@ -132,7 +142,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         use_tree = args.oracle in ("tree", "both")
         use_ring = args.oracle in ("ring", "both")
-        ring_limit = args.ring_max_order if use_ring else 0
+        # One limit bounds every ring leg, so the ring-only checks cover 1..ring_limit.
+        ring_limit = (
+            ring_order_limit(args.rank, args.max_order, args.ring_max_order) if use_ring else 0
+        )
         reports = [
             verify_scalar(
                 args.rank,
@@ -145,7 +158,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if use_ring:
             if args.rank >= 2:
                 reports.append(
-                    verify_amalgamated(args.rank, args.max_order, support_cap=cap)
+                    verify_amalgamated(args.rank, ring_limit, support_cap=cap)
                 )
             else:
                 print(
@@ -153,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             reports.append(
-                verify_radiality(args.rank, args.max_order, support_cap=cap)
+                verify_radiality(args.rank, ring_limit, support_cap=cap)
             )
 
     out_lines = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .recurrence import amalgamated_moment, iter_decompositions
+from .recurrence import amalgamated_projection, iter_decompositions
 from .ring import Hyperword, conditional_expectation, generating_operator, iter_powers
 from .words import format_word, reduced_word_count
 
@@ -28,6 +28,7 @@ __all__ = [
     "WalkTable",
     "walk_counts",
     "brute_force_budget",
+    "ring_order_limit",
     "verify_scalar",
     "verify_amalgamated",
     "verify_radiality",
@@ -124,6 +125,14 @@ def brute_force_budget(rank: int, term_budget: int = 720_000, hard_max: int = 60
     return n
 
 
+def ring_order_limit(rank: int, max_order: int, ring_max_order: int | None = None) -> int:
+    """Highest order a ring-oracle leg expands: ring_max_order, or by default
+    the brute-force budget for the rank, capped at max_order."""
+    if ring_max_order is None:
+        ring_max_order = brute_force_budget(rank)
+    return min(ring_max_order, max_order)
+
+
 def verify_scalar(
     rank: int,
     max_order: int,
@@ -136,15 +145,18 @@ def verify_scalar(
     """Check recurrence scalar moments against the tree walk and ring oracles.
 
     The tree oracle covers every order up to max_order; the ring oracle
-    covers orders up to ring_max_order (default: the brute-force budget
-    for the rank, capped at max_order).
+    covers orders up to ``ring_order_limit(rank, max_order, ring_max_order)``.
+    The subject names the orders some oracle covered.
     """
-    report = DiffReport(f"scalar moments (rank {rank}, orders 1..{max_order})")
+    use_tree = tree or walk_table is not None
+    ring_limit = ring_order_limit(rank, max_order, ring_max_order)
+    covered = max_order if use_tree else max(ring_limit, 0)
+    report = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
     recurrence_values = {
         d.power: d.coefficient(0) for d in iter_decompositions(rank, max_order)
     }
 
-    if tree or walk_table is not None:
+    if use_tree:
         table = walk_table if walk_table is not None else walk_counts(rank, max_order)
         for n in range(1, max_order + 1):
             expected = table.returning(n)
@@ -152,10 +164,6 @@ def verify_scalar(
             if expected != actual:
                 report.record(f"order {n}: tree-walk count", expected, actual)
 
-    if ring_max_order is None:
-        ring_limit = min(max_order, brute_force_budget(rank))
-    else:
-        ring_limit = min(ring_max_order, max_order)
     if ring_limit > 0:
         g = generating_operator(rank)
         for n, gn in iter_powers(g, ring_limit, support_cap):
@@ -177,9 +185,10 @@ def verify_amalgamated(
         f"orders 1..{max_order})"
     )
     g = generating_operator(rank)
-    for n, gn in iter_powers(g, max_order, support_cap):
+    decs = iter_decompositions(rank, max_order)
+    for (n, gn), dec in zip(iter_powers(g, max_order, support_cap), decs):
         expected = conditional_expectation(gn, h)
-        actual = amalgamated_moment(n, rank)
+        actual = amalgamated_projection(dec)
         if expected != actual:
             report.record(f"order {n}: conditional expectation", expected, actual)
     return report

@@ -7,13 +7,20 @@ X_1 moves each radial class to its neighbours:
     X_1 X_1 = X_2 + 2N e
     X_1 X_m = X_(m+1) + (2N-1) X_(m-1)   for m >= 2
 
-so if G^n = sum_m c_m X_m, the coefficients of G^(n+1) come out of one
-sparse pass: every class m feeds c_m upward into m+1, classes m >= 2 feed
-(2N-1) c_m downward into m-1, and class 1 feeds 2N c_1 into the constant.
-No word expansion is ever needed; the scalar moment is the constant
-coefficient, and the moment over the cyclic subgroup generated by the
+If G^n = sum_m c_m X_m, exactly the classes 0 <= m <= n with m = n
+(mod 2) carry a coefficient, and every one of them is positive, so G^n
+is stored as the dense list [c_p, c_(p+2), ..., c_n] with p = n mod 2,
+indexed by m // 2.  One multiplication by X_1 is one pass over that list:
+
+    c'_m = c_(m-1) + (2N-1) c_(m+1)   for m >= 1,     c'_0 = 2N c_1.
+
+Everything else is a projection of the one chain G^1, G^2, ... that
+``iter_decompositions`` walks.  The scalar moment tr(G^n) is the
+constant class.  The moment over the cyclic subgroup generated by the
 length-2N product of all generators and their inverses reads off the
-classes whose length is a multiple of 2N.
+classes whose length is a multiple of 2N (``amalgamated_projection``).
+The coefficient table lists the chain power by power.  No word
+expansion is ever needed.
 """
 
 from __future__ import annotations
@@ -30,48 +37,69 @@ __all__ = [
     "iter_decompositions",
     "decomposition_of",
     "scalar_moment",
+    "amalgamated_projection",
     "amalgamated_moment",
     "CoefficientTable",
     "coefficient_table",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RadialDecomposition:
     """Coefficients of G^power over the radial classes X_m.
 
-    Only classes with m <= power and m = power (mod 2) ever appear, all
-    coefficients are positive, and the top class carries coefficient 1.
+    ``classes[i]`` is the coefficient of X_m for m = 2i + (power mod 2),
+    so the classes present are exactly 0 <= m <= power with
+    m = power (mod 2).  Every coefficient is positive and the top class
+    carries coefficient 1.  ``classes`` is the decomposition's own
+    storage and must not be mutated; ``coeffs`` is a read-only
+    class -> coefficient view of it.
     """
 
     rank: int
     power: int
-    coeffs: Mapping[int, int]
+    classes: list[int]
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.power < 1:
-            raise ValueError(f"power must be >= 1, got {self.power}")
-        coeffs = dict(self.coeffs)
-        if coeffs.get(self.power) != 1:
-            raise ValueError(f"class {self.power} must carry coefficient 1")
+    def __init__(self, rank: int, power: int, coeffs: Mapping[int, int]):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if power < 1:
+            raise ValueError(f"power must be >= 1, got {power}")
+        coeffs = dict(coeffs)
+        if coeffs.get(power) != 1:
+            raise ValueError(f"class {power} must carry coefficient 1")
         for m, c in coeffs.items():
-            if m < 0 or m > self.power:
-                raise ValueError(f"class {m} is outside 0..{self.power}")
-            if (self.power - m) % 2:
-                raise ValueError(f"class {m} has the wrong parity for power {self.power}")
+            if m < 0 or m > power:
+                raise ValueError(f"class {m} is outside 0..{power}")
+            if (power - m) % 2:
+                raise ValueError(f"class {m} has the wrong parity for power {power}")
             if c <= 0:
                 raise ValueError(f"class {m} has non-positive coefficient {c}")
-        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        lengths = range(power % 2, power + 1, 2)
+        for m in lengths:
+            if m not in coeffs:
+                raise ValueError(f"class {m} of power {power} is missing")
+        _fill(self, rank, power, [coeffs[m] for m in lengths])
 
     @classmethod
     def initial(cls, rank: int) -> "RadialDecomposition":
         """G^1 = X_1."""
         return cls(rank, 1, {1: 1})
 
+    @property
+    def coeffs(self) -> Mapping[int, int]:
+        """Class length -> coefficient, built from ``classes`` on request."""
+        parity = self.power % 2
+        return MappingProxyType({2 * i + parity: c for i, c in enumerate(self.classes)})
+
     def coefficient(self, length: int) -> int:
-        return self.coeffs.get(length, 0)
+        if 0 <= length <= self.power and (self.power - length) % 2 == 0:
+            return self.classes[length // 2]
+        return 0
+
+    def rows(self) -> Iterator[tuple[int, int]]:
+        """(class length, coefficient) pairs, longest class first."""
+        return zip(range(self.power, -1, -2), reversed(self.classes))
 
     def mass(self) -> int:
         """Total word count with multiplicity; equals (2N)^power."""
@@ -79,15 +107,23 @@ class RadialDecomposition:
 
     def step(self) -> "RadialDecomposition":
         """Decomposition of the next power (one more multiplication by X_1)."""
-        two_n = 2 * self.rank
-        nxt: dict[int, int] = {}
-        for m, c in self.coeffs.items():
-            nxt[m + 1] = nxt.get(m + 1, 0) + c
-            if m >= 2:
-                nxt[m - 1] = nxt.get(m - 1, 0) + (two_n - 1) * c
-            elif m == 1:
-                nxt[0] = nxt.get(0, 0) + two_n * c
-        return RadialDecomposition(self.rank, self.power + 1, nxt)
+        c = self.classes
+        down = 2 * self.rank - 1
+        # An odd power has classes 1, 3, ..., n; the next one gains the constant class.
+        nxt = [(down + 1) * c[0]] if self.power % 2 else []
+        nxt += [lo + down * hi for lo, hi in zip(c, c[1:])]
+        nxt.append(c[-1])
+        if nxt[-1] != 1 or min(nxt) <= 0:
+            raise ValueError(f"radial step to power {self.power + 1} broke the invariants")
+        d = object.__new__(RadialDecomposition)
+        _fill(d, self.rank, self.power + 1, nxt)
+        return d
+
+
+def _fill(d: RadialDecomposition, rank: int, power: int, classes: list[int]) -> None:
+    object.__setattr__(d, "rank", rank)
+    object.__setattr__(d, "power", power)
+    object.__setattr__(d, "classes", classes)
 
 
 def iter_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomposition]:
@@ -122,58 +158,62 @@ def scalar_moment(n: int, rank: int) -> int:
     return decomposition_of(n, rank).coefficient(0)
 
 
-def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:
+def _require_subgroup(rank: int) -> None:
+    if rank < 2:
+        raise ValueError("amalgamated moments need rank >= 2; the subgroup generator "
+                         "degenerates at rank 1")
+
+
+def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     """Moment of G^n over the cyclic subgroup of the canonical length-2N word.
 
     A power with exponent k of the subgroup generator is a single word of
     length 2N|k|, and within a radial class every word shares one
-    coefficient, so class m contributes coeff * (k-th + (-k)-th powers)
-    exactly when m = 2N k; the constant class contributes at exponent 0.
+    coefficient, so exponents k and -k both take the coefficient of class
+    2N k, which sits at index N k of ``dec.classes``; exponent 0 takes the
+    constant class.  Odd powers have no even classes and project to zero.
     """
-    if rank < 2:
-        raise ValueError("amalgamated moments need rank >= 2; the subgroup generator "
-                         "degenerates at rank 1")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    period = 2 * rank
+    _require_subgroup(dec.rank)
     coeffs: dict[int, int] = {}
-    for m, c in decomposition_of(n, rank).coeffs.items():
-        if m == 0:
-            coeffs[0] = c
-        elif m % period == 0:
-            k = m // period
+    if dec.power % 2 == 0:
+        for k, c in enumerate(dec.classes[:: dec.rank]):
             coeffs[k] = c
             coeffs[-k] = c
     return LaurentPolynomial(coeffs)
+
+
+def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:
+    """Moment of G^n over the cyclic subgroup; see ``amalgamated_projection``."""
+    _require_subgroup(rank)
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return amalgamated_projection(decomposition_of(n, rank))
 
 
 @dataclass(frozen=True)
 class CoefficientTable:
     """All radial coefficients of G^n for n up to max_order.
 
-    Entries are keyed by (power, class length).  The ``kind`` column in
-    serialized output is "p" for even powers and "q" for odd ones,
-    matching the usual naming of the even/odd coefficient families.
+    ``decompositions[n - 1]`` is the decomposition of G^n.  The ``kind``
+    column in serialized output is "p" for even powers and "q" for odd
+    ones, matching the usual naming of the even/odd coefficient families.
     """
 
     rank: int
     max_order: int
-    entries: Mapping[tuple[int, int], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    decompositions: tuple[RadialDecomposition, ...]
 
     def coefficient(self, n: int, m: int) -> int:
-        return self.entries.get((n, m), 0)
+        if 1 <= n <= self.max_order:
+            return self.decompositions[n - 1].coefficient(m)
+        return 0
 
     def rows(self) -> Iterator[tuple[int, int, str, int]]:
         """(n, m, kind, coefficient) with n ascending and m descending."""
-        for n in range(1, self.max_order + 1):
-            kind = "p" if n % 2 == 0 else "q"
-            for m in range(n, -1, -1):
-                c = self.entries.get((n, m))
-                if c is not None:
-                    yield n, m, kind, c
+        for d in self.decompositions:
+            kind = "p" if d.power % 2 == 0 else "q"
+            for m, c in d.rows():
+                yield d.power, m, kind, c
 
     def to_csv(self) -> str:
         lines = ["n,m,kind,coefficient"]
@@ -197,8 +237,4 @@ def coefficient_table(max_order: int, rank: int) -> CoefficientTable:
     """Tabulate every radial coefficient of G^1 .. G^max_order."""
     if max_order < 2:
         raise ValueError(f"max_order must be >= 2, got {max_order}")
-    entries: dict[tuple[int, int], int] = {}
-    for d in iter_decompositions(rank, max_order):
-        for m, c in d.coeffs.items():
-            entries[(d.power, m)] = c
-    return CoefficientTable(rank, max_order, entries)
+    return CoefficientTable(rank, max_order, tuple(iter_decompositions(rank, max_order)))

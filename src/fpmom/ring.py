@@ -322,9 +322,9 @@ class Hyperword:
     def power(self, k: int) -> Word:
         cached = self._powers.get(k)
         if cached is None:
-            step = self._word if k > 0 else self._word.inverse()
-            prev = self.power(k - 1 if k > 0 else k + 1)
-            cached = prev * step
+            # A cyclically reduced word's powers are plain concatenations.
+            base = self._word if k > 0 else self._word.inverse()
+            cached = Word._from_reduced(base.codes * abs(k), self.rank)
             self._powers[k] = cached
         return cached
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ._version import TOOL_VERSION
 from .laurent import LaurentPolynomial
-from .recurrence import amalgamated_moment, iter_decompositions
+from .recurrence import amalgamated_projection, iter_decompositions
 
 __all__ = [
     "MomentSeries",
@@ -79,7 +79,7 @@ def amalgamated_series(
     if rank < 2:
         raise ValueError("amalgamated series need rank >= 2")
     entries = tuple(
-        (n, amalgamated_moment(n, rank)) for n in range(1, max_order + 1)
+        (d.power, amalgamated_projection(d)) for d in iter_decompositions(rank, max_order)
     )
     return MomentSeries(rank, "amalgamated", max_order, provenance, entries)
 

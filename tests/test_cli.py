@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fpmom
 from fpmom.cli import main
 
 
@@ -212,14 +218,81 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "fpmom", "scalar", "--rank", "2", "--max-order", "2"],
+def _fpmom_process(*argv, timeout=None):
+    """Run ``python -m fpmom`` on the copy of fpmom these tests import."""
+    src = str(Path(fpmom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fpmom", *argv],
         capture_output=True,
         text=True,
+        env=env,
+        timeout=timeout,
     )
+
+
+def test_module_entry_point():
+    proc = _fpmom_process("scalar", "--rank", "2", "--max-order", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][1]["value"] == "4"
+
+
+def test_verify_ring_legs_respect_ring_max_order():
+    proc = _fpmom_process(
+        "verify", "--rank", "2", "--max-order", "20", "--ring-max-order", "4", timeout=60
+    )
+    assert proc.returncode == 0
+    subjects = [json.loads(line)["subject"] for line in proc.stdout.strip().split("\n")]
+    assert subjects == [
+        "scalar moments (rank 2, orders 1..20)",
+        "amalgamated moments (rank 2, subgroup <abAB>, orders 1..4)",
+        "radiality of powers (rank 2, orders 1..4)",
+    ]
+
+
+def test_verify_ring_only_names_ring_orders(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--oracle", "ring", "--max-order", "20", "--ring-max-order", "3"
+    )
+    assert code == 0
+    subjects = [json.loads(line)["subject"] for line in out.strip().split("\n")]
+    assert [s.split("orders ")[1] for s in subjects] == ["1..3)"] * 3
+
+
+def test_verify_rejects_empty_ring_leg(capsys):
+    code, out, err = run(capsys, "verify", "--ring-max-order", "0")
+    assert code == 2
+    assert out == ""
+    assert "--ring-max-order" in err
+
+
+# sha256 of stdout, recorded on the implementation that rebuilt G^1..G^n for
+# every order, before the single-chain engine replaced it.
+GOLDEN_STDOUT = {
+    "amalg --rank 2 --max-order 60 --format json":
+        "5268f4733fb8a88ad0c912a7d91741b87d0796b2d4a26b68d8a8fb6a9050cf0f",
+    "amalg --rank 2 --max-order 60 --format csv":
+        "9fc3896ce8db44edd8136a2e452ad350dedca4c9f4baafc38ef1e741f1d89fcc",
+    "amalg --rank 2 --max-order 60 --format tex":
+        "9af3565a8b44eb19b43a2f55b24e998ea7aa3cffb8307281352fc860dce43657",
+    "amalg --rank 5 --max-order 120 --format json":
+        "1ec476d588a2cdf9121358b61657af5315f5ec61d751480df2975c914140fa15",
+    "amalg --rank 5 --max-order 120 --format csv":
+        "036d71d40454ef1eec95bbf3551fe1672460c576a528fe61a3ae384ae08534df",
+    "amalg --rank 5 --max-order 120 --format tex":
+        "2965bbde2fd1a10d0a2fc25801259dd4db82ba812ed50fed94128a4d5dad0e70",
+    "scalar --rank 3 --max-order 300 --format json":
+        "a829b6a9731a418287bac4adc82e17e07b601f855cca9a596da5d20e94aefb21",
+    "xdecomp --rank 8 --power 500 --format csv":
+        "270540a6c1d999418fa97da531fa6e6210d4442e6072006b6b1c8eac93c81851",
+    "xdecomp --rank 8 --power 500 --format json":
+        "5901b92d987b6877ec59f41407cd938124f3f8e231657de1b6ae4dc906369099",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_output(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[command]

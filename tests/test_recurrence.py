@@ -29,6 +29,10 @@ def test_single_steps():
     assert dict(d3.coeffs) == {3: 1, 1: 7}
     d4 = d3.step()
     assert dict(d4.coeffs) == {4: 1, 2: 10, 0: 28}
+    # the list behind .coeffs is indexed by m // 2
+    assert d3.classes == [7, 1]
+    assert d4.classes == [28, 10, 1]
+    assert list(d4.rows()) == [(4, 1), (2, 10), (0, 28)]
 
 
 def test_decompositions_rank_two():
@@ -70,7 +74,21 @@ def test_validation():
     with pytest.raises(ValueError):
         RadialDecomposition(2, 2, {2: 1, 4: 1})  # class beyond the power
     with pytest.raises(ValueError):
+        RadialDecomposition(2, 4, {4: 1, 0: 28})  # class 2 missing
+    with pytest.raises(ValueError):
         decomposition_of(0, 2)
+    assert RadialDecomposition(2, 4, {4: 1, 2: 10, 0: 28}) == decomposition_of(4, 2)
+
+
+def test_step_checks_invariants():
+    d = decomposition_of(5, 2)
+    d.classes[0] = -d.classes[0]  # corrupt the constant-feeding class
+    with pytest.raises(ValueError):
+        d.step()
+    d = decomposition_of(4, 2)
+    d.classes[-1] = 2  # top class must stay 1
+    with pytest.raises(ValueError):
+        d.step()
 
 
 def test_scalar_moments():
@@ -183,10 +201,15 @@ def test_coefficient_table_tex():
 
 
 def test_table_agrees_with_decompositions():
-    table = coefficient_table(10, 3)
-    for d in iter_decompositions(3, 10):
-        for m, c in d.coeffs.items():
-            assert table.coefficient(d.power, m) == c
+    for rank in (1, 2, 3):
+        table = coefficient_table(10, rank)
+        for n in range(1, 11):
+            d = decomposition_of(n, rank)
+            for m in range(-1, n + 2):
+                assert table.coefficient(n, m) == d.coefficient(m)
+            kind = "p" if n % 2 == 0 else "q"
+            rows = [(m, c) for p, m, k, c in table.rows() if p == n and k == kind]
+            assert rows == sorted(d.coeffs.items(), reverse=True)
 
 
 @given(st.integers(1, 6), st.integers(1, 30))

@@ -195,6 +195,17 @@ def test_hyperword_powers_and_exponents():
     assert h.exponent_of(w("abABaBAb")) is None  # right length, wrong word
 
 
+def test_hyperword_deep_powers():
+    h = Hyperword.canonical(2)
+    for k in (5000, -5000):
+        big = h.power(k)
+        assert len(big) == 4 * 5000
+        # a fresh generator builds its own power to compare against
+        assert Hyperword.canonical(2).exponent_of(big) == k
+    assert h.power(5000) == h.power(4999) * h.word
+    assert h.power(-5000) == h.power(5000).inverse()
+
+
 def test_conditional_expectation_small_powers():
     g = generating_operator(2)
     h = Hyperword.canonical(2)

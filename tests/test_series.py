@@ -1,6 +1,7 @@
 import pytest
 
 from fpmom.laurent import LaurentPolynomial
+from fpmom.recurrence import amalgamated_moment
 from fpmom.series import (
     MomentSeries,
     amalgamated_series,
@@ -48,6 +49,13 @@ def test_amalgamated_series_rank_three():
 def test_amalgamated_series_needs_rank_two():
     with pytest.raises(ValueError):
         amalgamated_series(1, 4)
+
+
+def test_amalgamated_series_projects_the_moments():
+    for rank in (2, 3, 4, 5):
+        series = amalgamated_series(rank, 60)
+        for k in range(1, 61):
+            assert series.value(k) == amalgamated_moment(k, rank)
 
 
 def test_cross_kind_consistency():
