@@ -51,9 +51,7 @@ from .oracle import (
     brute_force_budget,
     ring_order_limit,
     self_test,
-    verify_amalgamated,
-    verify_radiality,
-    verify_scalar,
+    verify,
     walk_counts,
 )
 from .series import (
@@ -99,9 +97,7 @@ __all__ = [
     "walk_counts",
     "brute_force_budget",
     "ring_order_limit",
-    "verify_scalar",
-    "verify_amalgamated",
-    "verify_radiality",
+    "verify",
     "self_test",
     "MomentSeries",
     "scalar_series",

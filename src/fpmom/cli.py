@@ -22,13 +22,7 @@ import sys
 
 from .recurrence import decomposition_of
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, generating_operator, power
-from .oracle import (
-    ring_order_limit,
-    self_test,
-    verify_amalgamated,
-    verify_radiality,
-    verify_scalar,
-)
+from .oracle import self_test, verify
 from .series import FORMATS, amalgamated_series, emit, scalar_series
 
 EXIT_OK = 0
@@ -140,33 +134,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.self_test:
         reports = [self_test(args.rank, max(args.max_order, 2))]
     else:
-        use_tree = args.oracle in ("tree", "both")
         use_ring = args.oracle in ("ring", "both")
-        # One limit bounds every ring leg, so the ring-only checks cover 1..ring_limit.
-        ring_limit = (
-            ring_order_limit(args.rank, args.max_order, args.ring_max_order) if use_ring else 0
+        reports = verify(
+            args.rank,
+            args.max_order,
+            tree=args.oracle in ("tree", "both"),
+            ring_max_order=args.ring_max_order if use_ring else 0,
+            support_cap=cap,
         )
-        reports = [
-            verify_scalar(
-                args.rank,
-                args.max_order,
-                tree=use_tree,
-                ring_max_order=ring_limit,
-                support_cap=cap,
-            )
-        ]
-        if use_ring:
-            if args.rank >= 2:
-                reports.append(
-                    verify_amalgamated(args.rank, ring_limit, support_cap=cap)
-                )
-            else:
-                print(
-                    "note: amalgamated check skipped at rank 1 (no canonical subgroup)",
-                    file=sys.stderr,
-                )
-            reports.append(
-                verify_radiality(args.rank, ring_limit, support_cap=cap)
+        if use_ring and args.rank == 1:
+            print(
+                "note: amalgamated check skipped at rank 1 (no canonical subgroup)",
+                file=sys.stderr,
             )
 
     out_lines = []

@@ -8,8 +8,10 @@ Two oracles with different failure modes back the engine:
   reduced length, so walks returning to the root count exactly the
   identity terms of G^n.
 
-The verify_* functions run the recurrence against one or both oracles
-and return a :class:`DiffReport`; ``self_test`` injects a deliberate
+``verify`` walks one chain of radial decompositions and expands each
+power of G at most once, checking its trace, its conditional
+expectation and its radiality from that single expansion.  It returns
+one :class:`DiffReport` per check; ``self_test`` injects a deliberate
 fault to prove that disagreements are actually detected.
 """
 
@@ -18,8 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .recurrence import amalgamated_projection, iter_decompositions
-from .ring import Hyperword, conditional_expectation, generating_operator, iter_powers
+from .recurrence import RadialDecomposition, amalgamated_projection, iter_decompositions
+from .ring import (
+    Hyperword,
+    RingElement,
+    conditional_expectation,
+    generating_operator,
+    iter_powers,
+)
 from .words import format_word, reduced_word_count
 
 __all__ = [
@@ -29,9 +37,7 @@ __all__ = [
     "walk_counts",
     "brute_force_budget",
     "ring_order_limit",
-    "verify_scalar",
-    "verify_amalgamated",
-    "verify_radiality",
+    "verify",
     "self_test",
 ]
 
@@ -133,7 +139,7 @@ def ring_order_limit(rank: int, max_order: int, ring_max_order: int | None = Non
     return min(ring_max_order, max_order)
 
 
-def verify_scalar(
+def verify(
     rank: int,
     max_order: int,
     *,
@@ -141,95 +147,93 @@ def verify_scalar(
     ring_max_order: int | None = None,
     support_cap: int | None = None,
     walk_table: WalkTable | None = None,
-) -> DiffReport:
-    """Check recurrence scalar moments against the tree walk and ring oracles.
+) -> list[DiffReport]:
+    """Check the recurrence against the tree walk and ring oracles in one pass.
 
-    The tree oracle covers every order up to max_order; the ring oracle
-    covers orders up to ``ring_order_limit(rank, max_order, ring_max_order)``.
-    The subject names the orders some oracle covered.
+    One chain of decompositions G^1, G^2, ... is walked, to max_order
+    (the tree oracle's reach) or, with the tree oracle off, to the ring
+    limit ``ring_order_limit(rank, max_order, ring_max_order)``.  Up to
+    that limit each decomposition is paired with one group-ring
+    expansion of the same power, whose trace, conditional expectation
+    and per-length coefficients are all checked against it.  Raises
+    ``ValueError`` when neither oracle would check any order.
+
+    Returns ``[scalar, amalgamated, radiality]``, without the amalgamated
+    report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
+    the ring limit is 0.  Each subject names the orders its checks covered.
     """
     use_tree = tree or walk_table is not None
-    ring_limit = ring_order_limit(rank, max_order, ring_max_order)
-    covered = max_order if use_tree else max(ring_limit, 0)
-    report = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
-    recurrence_values = {
-        d.power: d.coefficient(0) for d in iter_decompositions(rank, max_order)
-    }
+    ring_limit = max(ring_order_limit(rank, max_order, ring_max_order), 0)
+    if not use_tree and ring_limit < 1:
+        raise ValueError("verify needs the tree oracle or a ring limit >= 1")
+    covered = max_order if use_tree else ring_limit
+    scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
+    reports = [scalar]
+    powers = amalgamated = radiality = None
+    if ring_limit:
+        powers = iter_powers(generating_operator(rank), ring_limit, support_cap)
+        if rank >= 2:
+            h = Hyperword.canonical(rank)
+            amalgamated = DiffReport(
+                f"amalgamated moments (rank {rank}, subgroup <{format_word(h.word)}>, "
+                f"orders 1..{ring_limit})"
+            )
+            reports.append(amalgamated)
+        radiality = DiffReport(f"radiality of powers (rank {rank}, orders 1..{ring_limit})")
+        reports.append(radiality)
 
+    constants = []
+    traces = []
+    for dec in iter_decompositions(rank, covered):
+        constants.append(dec.coefficient(0))
+        if dec.power > ring_limit:
+            continue
+        n, gn = next(powers)
+        traces.append(gn.trace())
+        if amalgamated is not None:
+            expected = conditional_expectation(gn, h)
+            actual = amalgamated_projection(dec)
+            if expected != actual:
+                amalgamated.record(f"order {n}: conditional expectation", expected, actual)
+        _check_radial(radiality, n, gn, dec)
+
+    # The scalar report lists tree-walk mismatches before group-ring ones,
+    # so both scalar comparisons run after the chain.
     if use_tree:
         table = walk_table if walk_table is not None else walk_counts(rank, max_order)
-        for n in range(1, max_order + 1):
+        for n, actual in enumerate(constants, 1):
             expected = table.returning(n)
-            actual = recurrence_values[n]
             if expected != actual:
-                report.record(f"order {n}: tree-walk count", expected, actual)
-
-    if ring_limit > 0:
-        g = generating_operator(rank)
-        for n, gn in iter_powers(g, ring_limit, support_cap):
-            expected = gn.trace()
-            actual = recurrence_values[n]
-            if expected != actual:
-                report.record(f"order {n}: group-ring trace", expected, actual)
-
-    return report
-
-
-def verify_amalgamated(
-    rank: int, max_order: int, *, support_cap: int | None = None
-) -> DiffReport:
-    """Check recurrence subgroup moments against the expanded expectation."""
-    h = Hyperword.canonical(rank)
-    report = DiffReport(
-        f"amalgamated moments (rank {rank}, subgroup <{format_word(h.word)}>, "
-        f"orders 1..{max_order})"
-    )
-    g = generating_operator(rank)
-    decs = iter_decompositions(rank, max_order)
-    for (n, gn), dec in zip(iter_powers(g, max_order, support_cap), decs):
-        expected = conditional_expectation(gn, h)
-        actual = amalgamated_projection(dec)
+                scalar.record(f"order {n}: tree-walk count", expected, actual)
+    for n, (expected, actual) in enumerate(zip(traces, constants), 1):
         if expected != actual:
-            report.record(f"order {n}: conditional expectation", expected, actual)
-    return report
+            scalar.record(f"order {n}: group-ring trace", expected, actual)
+    return reports
 
 
-def verify_radiality(
-    rank: int, max_order: int, *, support_cap: int | None = None
-) -> DiffReport:
-    """Expanded powers of G must be constant on each word-length class.
-
-    Also checks that the per-length constants equal the recurrence
-    coefficients, class set included.
-    """
-    report = DiffReport(f"radiality of powers (rank {rank}, orders 1..{max_order})")
-    g = generating_operator(rank)
-    decs = iter_decompositions(rank, max_order)
-    for (n, gn), dec in zip(iter_powers(g, max_order, support_cap), decs):
-        by_length: dict[int, int] = {}
-        uniform = True
-        for w, c in gn.terms.items():
-            m = len(w)
-            seen = by_length.setdefault(m, c)
-            if seen != c:
-                report.record(
-                    f"order {n}, length {m}: coefficient constancy",
-                    f"uniform coefficient {seen}",
-                    f"{c} at {format_word(w)}",
-                )
-                uniform = False
-                break
-        if not uniform:
-            continue
-        if by_length != dict(dec.coeffs):
-            for m in sorted(set(by_length) | set(dec.coeffs), reverse=True):
-                got = by_length.get(m, 0)
-                want = dec.coefficient(m)
-                if got != want:
-                    report.record(
-                        f"order {n}, length {m}: radial coefficient", want, got
-                    )
-    return report
+def _check_radial(
+    report: DiffReport, n: int, gn: RingElement, dec: RadialDecomposition
+) -> None:
+    """Expanded G^n must be constant on each word-length class, and the
+    per-length constants must equal the recurrence coefficients, class
+    set included."""
+    by_length: dict[int, int] = {}
+    for w, c in gn.terms.items():
+        m = len(w)
+        seen = by_length.setdefault(m, c)
+        if seen != c:
+            report.record(
+                f"order {n}, length {m}: coefficient constancy",
+                f"uniform coefficient {seen}",
+                f"{c} at {format_word(w)}",
+            )
+            return
+    if by_length != dict(dec.coeffs):
+        for m in sorted(set(by_length) | set(dec.coeffs), reverse=True):
+            got = by_length.get(m, 0)
+            want = dec.coefficient(m)
+            if got != want:
+                report.record(f"order {n}, length {m}: radial coefficient", want, got)
 
 
 def self_test(rank: int = 2, max_order: int = 8) -> DiffReport:
@@ -243,8 +247,6 @@ def self_test(rank: int = 2, max_order: int = 8) -> DiffReport:
     table = walk_counts(rank, max_order)
     target = max_order - (max_order % 2)
     table.counts[target][0] += 1
-    report = verify_scalar(
-        rank, max_order, ring_max_order=0, walk_table=table
-    )
+    report = verify(rank, max_order, ring_max_order=0, walk_table=table)[0]
     report.subject += " [self-test: one fault injected]"
     return report

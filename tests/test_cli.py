@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import fpmom
+import fpmom.oracle
 from fpmom.cli import main
+from fpmom.ring import iter_powers
 
 
 def run(capsys, *argv):
@@ -176,6 +178,19 @@ def test_verify_passes(capsys):
     assert "PASS" in err
 
 
+def test_verify_expands_powers_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_iter_powers(*args, **kwargs):
+        calls.append(args)
+        return iter_powers(*args, **kwargs)
+
+    monkeypatch.setattr(fpmom.oracle, "iter_powers", counting_iter_powers)
+    code, _, _ = run(capsys, "verify", "--rank", "2", "--max-order", "6")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_tree_only(capsys):
     code, out, _ = run(
         capsys, "verify", "--rank", "2", "--max-order", "40", "--oracle", "tree"
@@ -288,6 +303,17 @@ GOLDEN_STDOUT = {
         "270540a6c1d999418fa97da531fa6e6210d4442e6072006b6b1c8eac93c81851",
     "xdecomp --rank 8 --power 500 --format json":
         "5901b92d987b6877ec59f41407cd938124f3f8e231657de1b6ae4dc906369099",
+    # recorded while each verify check still expanded G^1..G^n on its own
+    "verify --rank 2 --max-order 8 --oracle both":
+        "bb7e8e384087c5d0d4af8ada73510e36c75622a09b3c2115597e3307afeb3854",
+    "verify --rank 2 --max-order 8 --oracle tree":
+        "fe2bdf708c1d343d83c2d5baa8b717cd51aac05e7ac9b76b052d40574e555f31",
+    "verify --rank 1 --max-order 10":
+        "363afa9f2234252d00738a1335a7c0c2bf3eb50233fc968ebcdd9d8a7f00b5b6",
+    "verify --rank 3 --max-order 5 --oracle ring":
+        "fdd8d77efbc86c79836fe51864b131a0b4c2ccb18ca45e4ea9f5d63787f43b56",
+    "verify --rank 2 --max-order 14 --ring-max-order 5":
+        "816eef394fbb5bec33f4d58da4311914fa2d79493edb2410a4ad826378818859",
 }
 
 

@@ -6,9 +6,7 @@ from fpmom.oracle import (
     DiffReport,
     brute_force_budget,
     self_test,
-    verify_amalgamated,
-    verify_radiality,
-    verify_scalar,
+    verify,
     walk_counts,
 )
 
@@ -56,6 +54,16 @@ def test_walk_counts_validation():
         walk_counts(2, -1)
 
 
+def test_verify_validation():
+    # with the tree oracle off, a run must check at least one ring order
+    with pytest.raises(ValueError):
+        verify(2, 8, tree=False, ring_max_order=0)
+    with pytest.raises(ValueError):
+        verify(2, 8, tree=False, ring_max_order=-3)
+    with pytest.raises(ValueError):
+        verify(2, 0)
+
+
 def test_brute_force_budget_defaults():
     assert brute_force_budget(2) == 12
     assert brute_force_budget(3) == 8
@@ -65,38 +73,42 @@ def test_brute_force_budget_defaults():
 
 
 def test_verify_scalar_passes():
-    report = verify_scalar(2, 8)
+    report = verify(2, 8)[0]
     assert report.passed
     assert report.verdict == "pass"
     assert report.mismatches == []
 
 
 def test_verify_scalar_deep_tree_only():
-    report = verify_scalar(2, 60, ring_max_order=0)
+    report = verify(2, 60, ring_max_order=0)[0]
     assert report.passed
 
 
 def test_verify_scalar_other_ranks():
-    assert verify_scalar(1, 12).passed
-    assert verify_scalar(3, 6).passed
+    assert verify(1, 12)[0].passed
+    assert verify(3, 6)[0].passed
 
 
 def test_verify_amalgamated_passes():
-    report = verify_amalgamated(2, 8)
+    report = verify(2, 8)[1]
     assert report.passed
     assert "abAB" in report.subject
-    assert verify_amalgamated(3, 6).passed
+    assert verify(3, 6)[1].passed
 
 
-def test_verify_amalgamated_rejects_rank_one():
-    with pytest.raises(ValueError):
-        verify_amalgamated(1, 4)
+def test_verify_rank_one_has_no_amalgamated_report():
+    # rank 1 has no canonical subgroup, so only scalar and radiality are checked
+    subjects = [r.subject for r in verify(1, 4)]
+    assert subjects == [
+        "scalar moments (rank 1, orders 1..4)",
+        "radiality of powers (rank 1, orders 1..4)",
+    ]
 
 
 def test_verify_radiality_passes():
-    assert verify_radiality(2, 6).passed
-    assert verify_radiality(3, 4).passed
-    assert verify_radiality(1, 6).passed
+    assert verify(2, 6)[2].passed
+    assert verify(3, 4)[2].passed
+    assert verify(1, 6)[1].passed
 
 
 def test_self_test_reports_exactly_one_mismatch():
@@ -136,6 +148,6 @@ def test_fault_is_localized():
     # a perturbed tree table must not poison the other orders
     table = walk_counts(2, 10)
     table.counts[6][0] += 5
-    report = verify_scalar(2, 10, ring_max_order=0, walk_table=table)
+    report = verify(2, 10, ring_max_order=0, walk_table=table)[0]
     assert len(report.mismatches) == 1
     assert "order 6" in report.mismatches[0].location
