@@ -13,12 +13,10 @@ tree.  All arithmetic is exact (Python integers throughout).
 from ._version import TOOL_VERSION as __version__
 from .laurent import LaurentPolynomial
 from .words import (
-    Letter,
     Word,
     enumerate_reduced_words,
     format_word,
     parse_word,
-    reduce_word,
     reduced_word_count,
 )
 from .ring import (
@@ -35,11 +33,9 @@ from .ring import (
     radial_sum,
 )
 from .recurrence import (
-    CoefficientTable,
     RadialDecomposition,
     amalgamated_moment,
     amalgamated_projection,
-    coefficient_table,
     decomposition_of,
     iter_decompositions,
     scalar_moment,
@@ -58,17 +54,14 @@ from .series import (
     MomentSeries,
     amalgamated_series,
     emit,
-    parse_json,
     scalar_series,
 )
 
 __all__ = [
     "__version__",
-    "Letter",
     "Word",
     "parse_word",
     "format_word",
-    "reduce_word",
     "reduced_word_count",
     "enumerate_reduced_words",
     "LaurentPolynomial",
@@ -84,13 +77,11 @@ __all__ = [
     "conditional_expectation",
     "embed",
     "RadialDecomposition",
-    "CoefficientTable",
     "iter_decompositions",
     "decomposition_of",
     "scalar_moment",
     "amalgamated_moment",
     "amalgamated_projection",
-    "coefficient_table",
     "WalkTable",
     "DiffReport",
     "Mismatch",
@@ -103,5 +94,4 @@ __all__ = [
     "scalar_series",
     "amalgamated_series",
     "emit",
-    "parse_json",
 ]

@@ -8,7 +8,8 @@
     fpmom verify  --self-test
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 resource cap hit.
+0 success, 1 verification failure, 2 usage error (including an --output
+that cannot be written), 3 resource cap hit.
 The environment variable FPMOM_SUPPORT_CAP overrides the default term
 cap; --support-cap overrides both.
 """
@@ -57,8 +58,11 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 def _write_output(args: argparse.Namespace, data: bytes) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(data.decode("utf-8"))
 

@@ -8,7 +8,7 @@ never stored.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 __all__ = ["LaurentPolynomial"]
 
@@ -25,18 +25,6 @@ class LaurentPolynomial:
                 if c:
                     data[k] = c
         self._coeffs = data
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: int) -> "LaurentPolynomial":
-        return cls({0: value})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
 
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
@@ -102,29 +90,6 @@ class LaurentPolynomial:
         """JSON-ready pairs, exponents ascending, coefficients as decimal strings."""
         return [{"exp": k, "coeff": str(c)} for k, c in self.items()]
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Mapping[str, object]]) -> "LaurentPolynomial":
-        coeffs: dict[int, int] = {}
-        for pair in pairs:
-            k = int(pair["exp"])  # type: ignore[arg-type]
-            c = int(str(pair["coeff"]))
-            coeffs[k] = coeffs.get(k, 0) + c
-        return cls(coeffs)
-
     def to_csv_cell(self) -> str:
         """Semicolon-joined ``exponent:coefficient`` pairs, exponents ascending."""
         return ";".join(f"{k}:{c}" for k, c in self.items())
-
-    @classmethod
-    def from_csv_cell(cls, text: str) -> "LaurentPolynomial":
-        cell = text.strip()
-        if not cell:
-            return cls()
-        coeffs: dict[int, int] = {}
-        for chunk in cell.split(";"):
-            exp_text, _, coeff_text = chunk.partition(":")
-            if not coeff_text:
-                raise ValueError(f"malformed exponent:coefficient pair {chunk!r}")
-            k = int(exp_text)
-            coeffs[k] = coeffs.get(k, 0) + int(coeff_text)
-        return cls(coeffs)

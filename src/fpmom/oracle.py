@@ -85,11 +85,6 @@ class WalkTable:
     max_steps: int
     counts: list[list[int]]
 
-    def distance_count(self, steps: int, distance: int) -> int:
-        if distance < 0 or distance > steps:
-            return 0
-        return self.counts[steps][distance]
-
     def returning(self, steps: int) -> int:
         """Walks of length s that end back at the root."""
         return self.counts[steps][0]
@@ -156,12 +151,20 @@ def verify(
     that limit each decomposition is paired with one group-ring
     expansion of the same power, whose trace, conditional expectation
     and per-length coefficients are all checked against it.  Raises
-    ``ValueError`` when neither oracle would check any order.
+    ``ValueError`` when neither oracle would check any order, or when
+    ``walk_table`` has another rank or fewer than max_order steps.
 
     Returns ``[scalar, amalgamated, radiality]``, without the amalgamated
     report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
     the ring limit is 0.  Each subject names the orders its checks covered.
     """
+    if walk_table is not None:
+        if walk_table.rank != rank:
+            raise ValueError(f"walk table has rank {walk_table.rank}, verify has rank {rank}")
+        if walk_table.max_steps < max_order:
+            raise ValueError(
+                f"walk table covers {walk_table.max_steps} steps, verify needs {max_order}"
+            )
     use_tree = tree or walk_table is not None
     ring_limit = max(ring_order_limit(rank, max_order, ring_max_order), 0)
     if not use_tree and ring_limit < 1:

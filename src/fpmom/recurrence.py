@@ -19,8 +19,7 @@ Everything else is a projection of the one chain G^1, G^2, ... that
 constant class.  The moment over the cyclic subgroup generated by the
 length-2N product of all generators and their inverses reads off the
 classes whose length is a multiple of 2N (``amalgamated_projection``).
-The coefficient table lists the chain power by power.  No word
-expansion is ever needed.
+No word expansion is ever needed.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ __all__ = [
     "scalar_moment",
     "amalgamated_projection",
     "amalgamated_moment",
-    "CoefficientTable",
-    "coefficient_table",
 ]
 
 
@@ -188,53 +185,3 @@ def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     return amalgamated_projection(decomposition_of(n, rank))
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """All radial coefficients of G^n for n up to max_order.
-
-    ``decompositions[n - 1]`` is the decomposition of G^n.  The ``kind``
-    column in serialized output is "p" for even powers and "q" for odd
-    ones, matching the usual naming of the even/odd coefficient families.
-    """
-
-    rank: int
-    max_order: int
-    decompositions: tuple[RadialDecomposition, ...]
-
-    def coefficient(self, n: int, m: int) -> int:
-        if 1 <= n <= self.max_order:
-            return self.decompositions[n - 1].coefficient(m)
-        return 0
-
-    def rows(self) -> Iterator[tuple[int, int, str, int]]:
-        """(n, m, kind, coefficient) with n ascending and m descending."""
-        for d in self.decompositions:
-            kind = "p" if d.power % 2 == 0 else "q"
-            for m, c in d.rows():
-                yield d.power, m, kind, c
-
-    def to_csv(self) -> str:
-        lines = ["n,m,kind,coefficient"]
-        lines.extend(f"{n},{m},{kind},{c}" for n, m, kind, c in self.rows())
-        return "\n".join(lines) + "\n"
-
-    def to_tex(self) -> str:
-        lines = [
-            r"\begin{tabular}{rrcl}",
-            r"\hline",
-            r"$n$ & $m$ & kind & coefficient \\",
-            r"\hline",
-        ]
-        lines.extend(f"${n}$ & ${m}$ & ${kind}$ & ${c}$ \\\\" for n, m, kind, c in self.rows())
-        lines.append(r"\hline")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines) + "\n"
-
-
-def coefficient_table(max_order: int, rank: int) -> CoefficientTable:
-    """Tabulate every radial coefficient of G^1 .. G^max_order."""
-    if max_order < 2:
-        raise ValueError(f"max_order must be >= 2, got {max_order}")
-    return CoefficientTable(rank, max_order, tuple(iter_decompositions(rank, max_order)))

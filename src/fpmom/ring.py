@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPolynomial
-from .words import Word, enumerate_reduced_words, format_word, parse_word, reduced_word_count
+from .words import Word, enumerate_reduced_words, format_word, reduced_word_count
 
 __all__ = [
     "DEFAULT_SUPPORT_CAP",
@@ -86,10 +86,6 @@ class RingElement:
                     data[w] = c
         self._rank = rank
         self._terms = data
-
-    @classmethod
-    def zero(cls, rank: int) -> "RingElement":
-        return cls(rank)
 
     @classmethod
     def one(cls, rank: int) -> "RingElement":
@@ -190,9 +186,6 @@ class RingElement:
             return self._scaled(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "RingElement":
-        return power(self, n)
-
     def to_json_dict(self) -> dict:
         """Schema: {"rank": N, "terms": [{"word": ..., "coeff": "<decimal>"}, ...]}.
 
@@ -205,16 +198,6 @@ class RingElement:
                 for w, c in sorted(self._terms.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "RingElement":
-        rank = int(payload["rank"])
-        terms: dict[Word, int] = {}
-        for entry in payload["terms"]:
-            w = parse_word(entry["word"], rank)
-            c = int(str(entry["coeff"]))
-            terms[w] = terms.get(w, 0) + c
-        return cls(rank, terms)
 
 
 def multiply(x: RingElement, y: RingElement, support_cap: int | None = None) -> RingElement:

@@ -18,7 +18,6 @@ __all__ = [
     "scalar_series",
     "amalgamated_series",
     "emit",
-    "parse_json",
     "FORMATS",
 ]
 
@@ -138,25 +137,3 @@ def emit(series: MomentSeries, fmt: str) -> bytes:
     else:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     return text.encode("utf-8")
-
-
-def parse_json(data: bytes | str) -> MomentSeries:
-    """Inverse of the json emitter; emit(parse_json(b), "json") == b."""
-    payload = json.loads(data)
-    kind = payload["kind"]
-    entries = []
-    for entry in payload["entries"]:
-        n = int(entry["n"])
-        if kind == "scalar":
-            value: int | LaurentPolynomial = int(str(entry["value"]))
-        else:
-            value = LaurentPolynomial.from_pairs(entry["value"])
-        entries.append((n, value))
-    return MomentSeries(
-        rank=int(payload["rank"]),
-        kind=kind,
-        max_order=int(payload["max_order"]),
-        provenance=str(payload["provenance"]),
-        entries=tuple(entries),
-        tool_version=str(payload.get("tool_version", TOOL_VERSION)),
-    )

@@ -1,9 +1,9 @@
 """Reduced words in the free group on N generators.
 
-A word is a sequence of signed generator symbols.  Internally it is a
-tuple of nonzero integers: ``+i`` stands for the i-th generator (1-based),
-``-i`` for its inverse.  Every constructor applies free reduction, so any
-``Word`` in circulation is reduced; the empty word is the group identity.
+A word is a sequence of letters, and a letter is a nonzero integer code:
+``+i`` stands for the i-th generator (1-based), ``-i`` for its inverse.
+Every constructor applies free reduction, so any ``Word`` in circulation
+is reduced; the empty word is the group identity.
 
 Text grammar
 ------------
@@ -23,48 +23,27 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 __all__ = [
-    "Letter",
     "Word",
     "parse_word",
     "format_word",
-    "reduce_word",
     "reduced_word_count",
     "enumerate_reduced_words",
 ]
 
 
-class Letter(NamedTuple):
-    """One signed generator symbol: generator ``index`` (1-based), ``sign`` in {+1, -1}."""
-
-    index: int
-    sign: int
-
-    def inverse(self) -> "Letter":
-        return Letter(self.index, -self.sign)
-
-
-def _as_code(letter: Letter | int) -> int:
-    """Normalize a letter to its signed-integer code."""
-    if isinstance(letter, Letter):
-        index, sign = letter
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        if index < 1:
-            raise ValueError(f"generator index must be >= 1, got {index}")
-        return index * sign
-    if isinstance(letter, int):
-        if letter == 0:
-            raise ValueError("letter code 0 does not name a generator")
-        return letter
-    raise TypeError(f"expected Letter or int, got {type(letter).__name__}")
-
-
 @functools.total_ordering
 class Word:
     """An immutable reduced word over the generators of a free group.
+
+    The constructor freely reduces its letter codes:
+
+    >>> Word([1, 2, -2, 1], rank=2).codes
+    (1, 1)
+    >>> Word([1, -1], rank=1).is_identity
+    True
 
     Ordering is by length first, then letter by letter with the positive
     generator sorting before its inverse (a < A < b < B < aa < ...); this
@@ -73,12 +52,15 @@ class Word:
 
     __slots__ = ("_codes", "_rank", "_hash")
 
-    def __init__(self, letters: Iterable[Letter | int] = (), *, rank: int):
+    def __init__(self, letters: Iterable[int] = (), *, rank: int):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         stack: list[int] = []
-        for raw in letters:
-            code = _as_code(raw)
+        for code in letters:
+            if not isinstance(code, int):
+                raise TypeError(f"letter codes must be int, got {type(code).__name__}")
+            if code == 0:
+                raise ValueError("letter code 0 does not name a generator")
             if abs(code) > rank:
                 raise ValueError(f"generator {abs(code)} is beyond rank {rank}")
             if stack and stack[-1] == -code:
@@ -102,10 +84,6 @@ class Word:
     def identity(cls, rank: int) -> "Word":
         return cls((), rank=rank)
 
-    @classmethod
-    def generator(cls, index: int, rank: int) -> "Word":
-        return cls((index,), rank=rank)
-
     @property
     def rank(self) -> int:
         return self._rank
@@ -114,10 +92,6 @@ class Word:
     def codes(self) -> tuple[int, ...]:
         """Signed-integer encoding: +i for the i-th generator, -i for its inverse."""
         return self._codes
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter(abs(c), 1 if c > 0 else -1) for c in self._codes)
 
     @property
     def is_identity(self) -> bool:
@@ -130,9 +104,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self._codes)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
 
     def __hash__(self) -> int:
         return self._hash
@@ -175,30 +146,11 @@ class Word:
     def inverse(self) -> "Word":
         return Word._from_reduced(tuple(-c for c in reversed(self._codes)), self._rank)
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Word._from_reduced((), self._rank)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
         return format_word(self)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self._rank})"
-
-
-def reduce_word(letters: Iterable[Letter | int], rank: int) -> Word:
-    """Freely reduce a letter sequence.
-
-    >>> reduce_word([1, 2, -2, 1], rank=2).codes
-    (1, 1)
-    >>> reduce_word([1, -1], rank=1).is_identity
-    True
-    """
-    return Word(letters, rank=rank)
 
 
 _INDEXED_TOKEN = re.compile(r"([gG])([0-9]+)")

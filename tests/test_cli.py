@@ -227,6 +227,21 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["entries"][1]["value"] == "4"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["scalar", "--max-order", "4"], ["verify", "--max-order", "4"]],
+    ids=["scalar", "verify"],
+)
+@pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["missing-parent", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, where):
+    # a missing parent directory, or a path that is a directory
+    target = tmp_path / where
+    code, out, err = run(capsys, *command, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write {target}" in err
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "amalg", "--rank", "2", "--max-order", "8")
     second = run(capsys, "amalg", "--rank", "2", "--max-order", "8")

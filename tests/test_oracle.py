@@ -42,9 +42,8 @@ def test_walk_counts_parity_and_bounds():
         for d, c in enumerate(table.counts[s]):
             if (s - d) % 2 or d > s:
                 assert c == 0
-    assert table.distance_count(3, 7) == 0
-    assert table.distance_count(3, -1) == 0
-    assert table.distance_count(1, 1) == 4
+    assert len(table.counts[3]) == 4  # distances 0..3 only
+    assert table.counts[1][1] == 4
 
 
 def test_walk_counts_validation():
@@ -62,6 +61,11 @@ def test_verify_validation():
         verify(2, 8, tree=False, ring_max_order=-3)
     with pytest.raises(ValueError):
         verify(2, 0)
+    # a supplied walk table must match the run's rank and reach
+    with pytest.raises(ValueError):
+        verify(2, 6, ring_max_order=0, walk_table=walk_counts(3, 6))
+    with pytest.raises(ValueError):
+        verify(2, 8, ring_max_order=0, walk_table=walk_counts(2, 6))
 
 
 def test_brute_force_budget_defaults():

@@ -3,10 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from fpmom.laurent import LaurentPolynomial
 from fpmom.recurrence import (
-    CoefficientTable,
     RadialDecomposition,
     amalgamated_moment,
-    coefficient_table,
     decomposition_of,
     iter_decompositions,
     scalar_moment,
@@ -153,63 +151,30 @@ def test_amalgamated_symmetry_and_constant_term():
 
 
 def test_coefficient_table_values():
-    table = coefficient_table(8, 2)
-    assert table.coefficient(2, 0) == 4
-    assert table.coefficient(3, 1) == 7
-    assert table.coefficient(4, 2) == 10
-    assert table.coefficient(4, 0) == 28
-    assert table.coefficient(5, 3) == 13
-    assert table.coefficient(5, 1) == 58
-    assert table.coefficient(6, 4) == 16
-    assert table.coefficient(8, 6) == 22
-    assert table.coefficient(8, 4) == 202
-    assert table.coefficient(9, 9) == 0  # beyond max_order
-    t3 = coefficient_table(3, 3)
-    assert t3.coefficient(2, 0) == 6
-    assert t3.coefficient(3, 1) == 11
-    with pytest.raises(ValueError):
-        coefficient_table(1, 2)
-
-
-def test_coefficient_table_rows_and_kinds():
-    table = coefficient_table(4, 2)
-    rows = list(table.rows())
-    assert rows[0] == (1, 1, "q", 1)
-    assert (2, 0, "p", 4) in rows
-    assert (3, 1, "q", 7) in rows
-    assert (4, 0, "p", 28) in rows
-    # n ascending, m descending within each n
-    assert rows == sorted(rows, key=lambda r: (r[0], -r[1]))
-    kinds = {n: kind for n, _, kind, _ in rows}
-    assert kinds == {1: "q", 2: "p", 3: "q", 4: "p"}
-
-
-def test_coefficient_table_csv():
-    csv = coefficient_table(3, 2).to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "n,m,kind,coefficient"
-    assert "2,0,p,4" in lines
-    assert "3,1,q,7" in lines
-    assert lines[1] == "1,1,q,1"
-
-
-def test_coefficient_table_tex():
-    tex = coefficient_table(3, 2).to_tex()
-    assert tex.startswith(r"\begin{tabular}")
-    assert tex.rstrip().endswith(r"\end{tabular}")
-    assert "$2$ & $0$ & $p$ & $4$" in tex
+    # the chain G^1..G^8 is the table: row n is the decomposition of G^n
+    table = list(iter_decompositions(2, 8))
+    assert table[1].coefficient(0) == 4
+    assert table[2].coefficient(1) == 7
+    assert table[3].coefficient(2) == 10
+    assert table[3].coefficient(0) == 28
+    assert table[4].coefficient(3) == 13
+    assert table[4].coefficient(1) == 58
+    assert table[5].coefficient(4) == 16
+    assert table[7].coefficient(6) == 22
+    assert table[7].coefficient(4) == 202
+    t3 = list(iter_decompositions(3, 3))
+    assert t3[1].coefficient(0) == 6
+    assert t3[2].coefficient(1) == 11
 
 
 def test_table_agrees_with_decompositions():
     for rank in (1, 2, 3):
-        table = coefficient_table(10, rank)
+        table = list(iter_decompositions(rank, 10))
         for n in range(1, 11):
             d = decomposition_of(n, rank)
             for m in range(-1, n + 2):
-                assert table.coefficient(n, m) == d.coefficient(m)
-            kind = "p" if n % 2 == 0 else "q"
-            rows = [(m, c) for p, m, k, c in table.rows() if p == n and k == kind]
-            assert rows == sorted(d.coeffs.items(), reverse=True)
+                assert table[n - 1].coefficient(m) == d.coefficient(m)
+            assert list(table[n - 1].rows()) == sorted(d.coeffs.items(), reverse=True)
 
 
 @given(st.integers(1, 6), st.integers(1, 30))
