@@ -45,7 +45,6 @@ from .oracle import (
     Mismatch,
     WalkTable,
     brute_force_budget,
-    ring_order_limit,
     self_test,
     verify,
     walk_counts,
@@ -87,7 +86,6 @@ __all__ = [
     "Mismatch",
     "walk_counts",
     "brute_force_budget",
-    "ring_order_limit",
     "verify",
     "self_test",
     "MomentSeries",

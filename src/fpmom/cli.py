@@ -10,8 +10,9 @@
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including an --output
 that cannot be written), 3 resource cap hit.
-The environment variable FPMOM_SUPPORT_CAP overrides the default term
-cap; --support-cap overrides both.
+`expand` and `verify` expand powers of G in the group ring; for them the
+environment variable FPMOM_SUPPORT_CAP overrides the default term cap,
+and --support-cap overrides both.
 """
 
 from __future__ import annotations
@@ -167,6 +168,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=2, help="number of generators (default 2)")
     p.add_argument("--output", help="write data to this file instead of stdout")
+
+
+def _add_support_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--support-cap",
         type=int,
@@ -203,11 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="brute-force word expansion of one power")
     _add_common(p)
+    _add_support_cap(p)
     p.add_argument("--power", type=int, required=True)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="run the recurrence against the oracles")
     _add_common(p)
+    _add_support_cap(p)
     p.add_argument("--max-order", type=int, default=8)
     p.add_argument("--oracle", choices=("ring", "tree", "both"), default="both")
     p.add_argument(

@@ -81,10 +81,8 @@ class LaurentPolynomial:
     def __repr__(self) -> str:
         return f"LaurentPolynomial({dict(self.items())!r})"
 
-    def to_tex(self, symbol: str = "h") -> str:
-        return self._render(
-            lambda k: "" if k == 0 else (symbol if k == 1 else f"{symbol}^{{{k}}}")
-        )
+    def to_tex(self) -> str:
+        return self._render(lambda k: "" if k == 0 else ("h" if k == 1 else f"h^{{{k}}}"))
 
     def to_pairs(self) -> list[dict[str, object]]:
         """JSON-ready pairs, exponents ascending, coefficients as decimal strings."""

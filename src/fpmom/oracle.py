@@ -36,7 +36,6 @@ __all__ = [
     "WalkTable",
     "walk_counts",
     "brute_force_budget",
-    "ring_order_limit",
     "verify",
     "self_test",
 ]
@@ -114,24 +113,21 @@ def walk_counts(rank: int, max_steps: int) -> WalkTable:
     return WalkTable(rank, max_steps, rows)
 
 
-def brute_force_budget(rank: int, term_budget: int = 720_000, hard_max: int = 60) -> int:
-    """Largest power whose dominant radial class stays within the term budget.
+_TERM_BUDGET = 720_000
+_HARD_MAX = 60
+
+
+def brute_force_budget(rank: int) -> int:
+    """Largest power, at most _HARD_MAX, whose dominant radial class holds
+    at most _TERM_BUDGET words.
 
     Keeps ring-oracle runs tractable: the top class of G^n holds
     2N(2N-1)^(n-1) words, which dominates the support.
     """
     n = 1
-    while n < hard_max and reduced_word_count(n + 1, rank) <= term_budget:
+    while n < _HARD_MAX and reduced_word_count(n + 1, rank) <= _TERM_BUDGET:
         n += 1
     return n
-
-
-def ring_order_limit(rank: int, max_order: int, ring_max_order: int | None = None) -> int:
-    """Highest order a ring-oracle leg expands: ring_max_order, or by default
-    the brute-force budget for the rank, capped at max_order."""
-    if ring_max_order is None:
-        ring_max_order = brute_force_budget(rank)
-    return min(ring_max_order, max_order)
 
 
 def verify(
@@ -147,10 +143,11 @@ def verify(
 
     One chain of decompositions G^1, G^2, ... is walked, to max_order
     (the tree oracle's reach) or, with the tree oracle off, to the ring
-    limit ``ring_order_limit(rank, max_order, ring_max_order)``.  Up to
-    that limit each decomposition is paired with one group-ring
-    expansion of the same power, whose trace, conditional expectation
-    and per-length coefficients are all checked against it.  Raises
+    limit: ring_max_order, or by default ``brute_force_budget(rank)``,
+    capped at max_order.  Up to that limit each decomposition is paired
+    with one group-ring expansion of the same power, whose trace,
+    conditional expectation and per-length coefficients are all checked
+    against it.  Raises
     ``ValueError`` when neither oracle would check any order, or when
     ``walk_table`` has another rank or fewer than max_order steps.
 
@@ -166,7 +163,9 @@ def verify(
                 f"walk table covers {walk_table.max_steps} steps, verify needs {max_order}"
             )
     use_tree = tree or walk_table is not None
-    ring_limit = max(ring_order_limit(rank, max_order, ring_max_order), 0)
+    if ring_max_order is None:
+        ring_max_order = brute_force_budget(rank)
+    ring_limit = max(min(ring_max_order, max_order), 0)
     if not use_tree and ring_limit < 1:
         raise ValueError("verify needs the tree oracle or a ring limit >= 1")
     covered = max_order if use_tree else ring_limit

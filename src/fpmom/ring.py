@@ -133,17 +133,6 @@ class RingElement:
     def __repr__(self) -> str:
         return f"<RingElement rank={self._rank} support={len(self._terms)}>"
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for w in sorted(self._terms)[:20]:
-            c = self._terms[w]
-            parts.append(f"{c}*{format_word(w)}" if c != 1 else format_word(w))
-        if len(self._terms) > 20:
-            parts.append(f"... ({len(self._terms)} terms)")
-        return " + ".join(parts)
-
     def _merged(self, other: "RingElement", flip: int) -> "RingElement":
         if self._rank != other._rank:
             raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")

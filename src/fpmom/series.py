@@ -7,7 +7,7 @@ so JSON consumers never round.  Output is deterministic byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._version import TOOL_VERSION
 from .laurent import LaurentPolynomial
@@ -26,61 +26,54 @@ FORMATS = ("json", "csv", "tex")
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Moments of G^n for n = 1..max_order.
+    """Moments of G^n for n = 1..max_order; ``values[n - 1]`` is order n.
 
     ``kind`` is "scalar" (integer values) or "amalgamated" (Laurent
-    polynomial values).  Entries always cover every order from 1 up,
-    and odd orders are zero.
+    polynomial values).  There is at least one value, and odd orders are
+    zero.
     """
 
     rank: int
     kind: str
-    max_order: int
-    provenance: str
-    entries: tuple[tuple[int, int | LaurentPolynomial], ...]
-    tool_version: str = field(default=TOOL_VERSION)
+    values: tuple[int | LaurentPolynomial, ...]
 
     def __post_init__(self):
         if self.kind not in ("scalar", "amalgamated"):
             raise ValueError(f"kind must be 'scalar' or 'amalgamated', got {self.kind!r}")
-        if self.max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
-        if tuple(n for n, _ in self.entries) != tuple(range(1, self.max_order + 1)):
-            raise ValueError("entries must cover orders 1..max_order in increasing order")
-        for n, value in self.entries:
+        if not self.values:
+            raise ValueError("a moment series needs at least order 1")
+        for n, value in enumerate(self.values, 1):
             if self.kind == "scalar":
                 if not isinstance(value, int):
-                    raise TypeError(f"scalar entry at order {n} must be an int")
+                    raise TypeError(f"scalar value at order {n} must be an int")
                 vanishes = value == 0
             else:
                 if not isinstance(value, LaurentPolynomial):
-                    raise TypeError(f"amalgamated entry at order {n} must be a LaurentPolynomial")
+                    raise TypeError(f"amalgamated value at order {n} must be a LaurentPolynomial")
                 vanishes = value.is_zero
             if n % 2 and not vanishes:
                 raise ValueError(f"odd-order moment at {n} must vanish")
 
+    @property
+    def max_order(self) -> int:
+        return len(self.values)
+
     def value(self, order: int) -> int | LaurentPolynomial:
         if not 1 <= order <= self.max_order:
             raise ValueError(f"order {order} outside 1..{self.max_order}")
-        return self.entries[order - 1][1]
+        return self.values[order - 1]
 
 
-def scalar_series(rank: int, max_order: int, provenance: str = "recurrence") -> MomentSeries:
-    entries = tuple(
-        (d.power, d.coefficient(0)) for d in iter_decompositions(rank, max_order)
-    )
-    return MomentSeries(rank, "scalar", max_order, provenance, entries)
+def scalar_series(rank: int, max_order: int) -> MomentSeries:
+    values = tuple(d.coefficient(0) for d in iter_decompositions(rank, max_order))
+    return MomentSeries(rank, "scalar", values)
 
 
-def amalgamated_series(
-    rank: int, max_order: int, provenance: str = "recurrence"
-) -> MomentSeries:
+def amalgamated_series(rank: int, max_order: int) -> MomentSeries:
     if rank < 2:
         raise ValueError("amalgamated series need rank >= 2")
-    entries = tuple(
-        (d.power, amalgamated_projection(d)) for d in iter_decompositions(rank, max_order)
-    )
-    return MomentSeries(rank, "amalgamated", max_order, provenance, entries)
+    values = tuple(amalgamated_projection(d) for d in iter_decompositions(rank, max_order))
+    return MomentSeries(rank, "amalgamated", values)
 
 
 def _entry_json(kind: str, value: int | LaurentPolynomial):
@@ -94,10 +87,11 @@ def _render_json(series: MomentSeries) -> str:
         "rank": series.rank,
         "kind": series.kind,
         "max_order": series.max_order,
-        "provenance": series.provenance,
-        "tool_version": series.tool_version,
+        "provenance": "recurrence",
+        "tool_version": TOOL_VERSION,
         "entries": [
-            {"n": n, "value": _entry_json(series.kind, v)} for n, v in series.entries
+            {"n": n, "value": _entry_json(series.kind, v)}
+            for n, v in enumerate(series.values, 1)
         ],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
@@ -105,7 +99,7 @@ def _render_json(series: MomentSeries) -> str:
 
 def _render_csv(series: MomentSeries) -> str:
     lines = ["n,value"]
-    for n, v in series.entries:
+    for n, v in enumerate(series.values, 1):
         cell = str(v) if series.kind == "scalar" else v.to_csv_cell()
         lines.append(f"{n},{cell}")
     return "\n".join(lines) + "\n"
@@ -118,7 +112,7 @@ def _render_tex(series: MomentSeries) -> str:
         r"$n$ & moment \\",
         r"\hline",
     ]
-    for n, v in series.entries:
+    for n, v in enumerate(series.values, 1):
         cell = str(v) if series.kind == "scalar" else v.to_tex()
         lines.append(f"${n}$ & ${cell}$ \\\\")
     lines.append(r"\hline")

@@ -67,9 +67,11 @@ class Word:
                 stack.pop()
             else:
                 stack.append(code)
-        self._codes = tuple(stack)
+        codes = tuple(stack)
+        self._codes = codes
         self._rank = rank
-        self._hash = hash((rank, self._codes))
+        # the same hash as _from_reduced, whose comment gives the reason
+        self._hash = hash((rank, codes if -1 not in codes else tuple(map(int.__invert__, codes))))
 
     @classmethod
     def _from_reduced(cls, codes: tuple[int, ...], rank: int) -> "Word":
@@ -77,7 +79,12 @@ class Word:
         w = object.__new__(cls)
         w._codes = codes
         w._rank = rank
-        w._hash = hash((rank, codes))
+        # CPython hashes -1 like -2, so the signed codes of words that differ
+        # only in the letters A and B would collide.  Such words hash the image
+        # ~c instead: one-to-one, never -1, and always holding a 0, which no
+        # signed code is, so it cannot meet the codes of a word without A.
+        # Inlined because ring products build a word per term pair.
+        w._hash = hash((rank, codes if -1 not in codes else tuple(map(int.__invert__, codes))))
         return w
 
     @classmethod

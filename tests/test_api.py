@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "power",
     "radial_sum",
     "reduced_word_count",
-    "ring_order_limit",
     "scalar_moment",
     "scalar_series",
     "self_test",

@@ -161,6 +161,23 @@ def test_flag_overrides_env(capsys, monkeypatch):
     assert len(json.loads(out)["terms"]) == 40
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scalar", "--max-order", "4"],
+        ["amalg", "--max-order", "4"],
+        ["xdecomp", "--power", "4"],
+    ],
+    ids=["scalar", "amalg", "xdecomp"],
+)
+def test_support_cap_only_where_powers_expand(capsys, command):
+    # only expand and verify build group-ring elements
+    code, out, err = run(capsys, command[0], "--rank", "2", *command[1:], "--support-cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "--support-cap" in err
+
+
 def test_bad_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("FPMOM_SUPPORT_CAP", "lots")
     code, _, err = run(capsys, "expand", "--rank", "2", "--power", "2")
@@ -329,6 +346,19 @@ GOLDEN_STDOUT = {
         "fdd8d77efbc86c79836fe51864b131a0b4c2ccb18ca45e4ea9f5d63787f43b56",
     "verify --rank 2 --max-order 14 --ring-max-order 5":
         "816eef394fbb5bec33f4d58da4311914fa2d79493edb2410a4ad826378818859",
+    # recorded while MomentSeries still stored (n, value) pairs, provenance and
+    # tool version, and before the word hash changed; at rank 8 the default
+    # ring budget (4) caps the ring leg below --max-order
+    "expand --rank 2 --power 6":
+        "ef9f492fc17f61bd35557da1bd444a2fb628bb538a0308a5a6c0871b762730c1",
+    "expand --rank 3 --power 4":
+        "083af85d386c1f26a5f6b10b4f0453e84fb78f51ebeb1c8678309f2d5e5d9f11",
+    "scalar --rank 2 --max-order 200 --format csv":
+        "96878f3a8c54aeaf40cfb00d838dc007de62b18a1493d5ec7f2f128d980214a2",
+    "scalar --rank 2 --max-order 200 --format tex":
+        "ffb94caff3e50d6a32de764bf5658c35b39fc1ed685625bf5cf6c0691bf9b3b0",
+    "verify --rank 8 --max-order 6":
+        "b6b587eec2c65475df2eaa65fdefd8d46a308de9b04b55d291c51aab8cb96698",
 }
 
 

@@ -72,8 +72,6 @@ def test_brute_force_budget_defaults():
     assert brute_force_budget(2) == 12
     assert brute_force_budget(3) == 8
     assert brute_force_budget(1) == 60  # rank 1 supports stay tiny
-    assert brute_force_budget(2, term_budget=100) == 3  # |X_3| = 36, |X_4| = 108
-    assert brute_force_budget(2, hard_max=6) == 6
 
 
 def test_verify_scalar_passes():

@@ -129,6 +129,14 @@ def test_equality_includes_rank():
     assert Word([1], rank=2) == Word([1], rank=2)
 
 
+def test_reduced_words_hash_apart():
+    # hash(-1) == hash(-2) in CPython; the inverse letters A and B must not
+    # make words collide (hashing the signed codes gave these words 4,057 values)
+    words = list(enumerate_reduced_words(8, 2))
+    assert len(words) == 8748
+    assert len({hash(w) for w in words}) == 8748
+
+
 def test_reduced_word_count_formula():
     assert reduced_word_count(0, 2) == 1
     assert reduced_word_count(1, 2) == 4
