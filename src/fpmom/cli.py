@@ -9,7 +9,8 @@
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including an --output
-that cannot be written), 3 resource cap hit.
+that cannot be written; a missing parent directory or a directory is
+refused before any computation), 3 resource cap hit.
 `expand` and `verify` expand powers of G in the group ring; for them the
 environment variable FPMOM_SUPPORT_CAP overrides the default term cap,
 and --support-cap overrides both.
@@ -18,6 +19,7 @@ and --support-cap overrides both.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -57,8 +59,29 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return DEFAULT_SUPPORT_CAP
 
 
+def _check_output(args: argparse.Namespace) -> None:
+    """Refuse an --output path that cannot be written, before any computation.
+
+    Other write failures, such as a missing permission, still surface
+    when the data is written.
+    """
+    path = args.output
+    if not path:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.exists(parent):
+        err = errno.ENOENT
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR
+    else:
+        return
+    raise _UsageError(f"cannot write {path}: {os.strerror(err)}")
+
+
 def _write_output(args: argparse.Namespace, data: bytes) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "wb") as fh:
                 fh.write(data)
@@ -134,16 +157,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.ring_max_order is None or args.ring_max_order >= 1,
         "--ring-max-order must be >= 1 (--oracle tree skips the ring oracle)",
     )
+    if args.self_test:
+        for flag, value in (
+            ("--oracle", args.oracle),
+            ("--ring-max-order", args.ring_max_order),
+            ("--support-cap", args.support_cap),
+        ):
+            _require(value is None, f"{flag} has no effect with --self-test")
     cap = _resolve_cap(args)
 
     if args.self_test:
         reports = [self_test(args.rank, max(args.max_order, 2))]
     else:
-        use_ring = args.oracle in ("ring", "both")
+        oracle = args.oracle or "both"
+        use_ring = oracle in ("ring", "both")
         reports = verify(
             args.rank,
             args.max_order,
-            tree=args.oracle in ("tree", "both"),
+            tree=oracle in ("tree", "both"),
             ring_max_order=args.ring_max_order if use_ring else 0,
             support_cap=cap,
         )
@@ -215,7 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_support_cap(p)
     p.add_argument("--max-order", type=int, default=8)
-    p.add_argument("--oracle", choices=("ring", "tree", "both"), default="both")
+    p.add_argument(
+        "--oracle",
+        choices=("ring", "tree", "both"),
+        default=None,
+        help="which oracles check the recurrence (default: both)",
+    )
     p.add_argument(
         "--ring-max-order",
         type=int,
@@ -225,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--self-test",
         action="store_true",
-        help="inject one fault and confirm verification catches it (exits 1)",
+        help="inject one fault and confirm verification catches it (exits 1); "
+        "takes none of --oracle, --ring-max-order and --support-cap",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -239,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,9 @@ from .recurrence import RadialDecomposition, amalgamated_projection, iter_decomp
 from .ring import (
     Hyperword,
     RingElement,
+    _letter_bits,
+    _packed_length,
+    _word_reader,
     conditional_expectation,
     generating_operator,
     iter_powers,
@@ -219,15 +222,18 @@ def _check_radial(
     """Expanded G^n must be constant on each word-length class, and the
     per-length constants must equal the recurrence coefficients, class
     set included."""
+    # Lengths come from the packed words' bit lengths; a word is unpacked
+    # only to be named in a mismatch.
+    k = _letter_bits(gn.rank)
     by_length: dict[int, int] = {}
-    for w, c in gn.terms.items():
-        m = len(w)
+    for w, c in gn._terms.items():
+        m = _packed_length(w, k)
         seen = by_length.setdefault(m, c)
         if seen != c:
             report.record(
                 f"order {n}, length {m}: coefficient constancy",
                 f"uniform coefficient {seen}",
-                f"{c} at {format_word(w)}",
+                f"{c} at {format_word(_word_reader(gn.rank)(w))}",
             )
             return
     if by_length != dict(dec.coeffs):

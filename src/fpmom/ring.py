@@ -6,6 +6,27 @@ entries.  The module is deliberately brute force: it expands products
 word by word and serves as the ground truth that the fast radial
 recurrence is verified against.
 
+Packed words
+------------
+Inside an element each reduced word is one int: its letters are packed
+most significant first, k = (2N).bit_length() bits per letter, with the
+digits a=1, A=2, b=3, B=4, ... (code c > 0 is 2c-1, code c < 0 is 2|c|).
+The identity is 0, and no digit is 0, so
+
+* multiplying on the right by the letter with digit d is ``w >> k`` when
+  the last digit ``w & mask`` is the inverse of d, and ``(w << k) | d``
+  otherwise;
+* a word's length is ``ceil(w.bit_length() / k)``;
+* plain int order is the canonical word order (length first, then
+  a < A < b < B < ...), so sorting the ints sorts the words.
+
+``Word`` stays the type of the public API, and the ring converts only at
+its edges: the constructor and ``coefficient`` pack words; ``terms`` and
+``to_json_dict`` unpack them through a prefix memo,
+``spell(w) = spell(w >> k) + letter``; the conditional expectation looks
+up the packed powers of h; and the radiality check in ``fpmom.oracle``
+reads lengths from bit lengths.
+
 Supports of powers of the generating operator grow like (2N-1)^n, so
 every expanding operation takes a term cap (default ``10**8``) and
 refuses with :class:`SupportCapError` rather than exhausting memory.
@@ -14,10 +35,10 @@ refuses with :class:`SupportCapError` rather than exhausting memory.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .laurent import LaurentPolynomial
-from .words import Word, enumerate_reduced_words, format_word, reduced_word_count
+from .words import Word, format_word, reduced_word_count
 
 __all__ = [
     "DEFAULT_SUPPORT_CAP",
@@ -55,8 +76,94 @@ def _effective_cap(support_cap: int | None) -> int:
     return cap
 
 
-def _raw(rank: int, terms: dict[Word, int]) -> "RingElement":
-    # Internal constructor for term maps already known to be valid and pruned.
+# ---- packed words ----
+
+
+def _letter_bits(rank: int) -> int:
+    """Bits per packed letter: enough for the largest digit, 2N."""
+    return (2 * rank).bit_length()
+
+
+def _inverse_digit(d: int) -> int:
+    return d + 1 if d & 1 else d - 1
+
+
+def _pack(word: Word) -> int:
+    k = _letter_bits(word.rank)
+    w = 0
+    for c in word.codes:
+        w = (w << k) | (2 * c - 1 if c > 0 else -2 * c)
+    return w
+
+
+def _packed_length(w: int, k: int) -> int:
+    return -(-w.bit_length() // k)
+
+
+def _speller(k: int, pieces: Mapping[int, str | tuple], empty: str | tuple) -> Callable:
+    """Return spell(w): the pieces of w's digits concatenated, most significant first.
+
+    Prefixes are memoized, so spelling a support costs about one
+    concatenation per word.  The memo is filled without recursion, so a
+    long word cannot exhaust the stack.
+    """
+    mask = (1 << k) - 1
+    memo = {0: empty}
+
+    def prefix(w: int):
+        s = memo.get(w)
+        if s is None:
+            chain = []
+            while s is None:
+                chain.append(w)
+                w >>= k
+                s = memo.get(w)
+            for p in reversed(chain):
+                s += pieces[p & mask]
+                memo[p] = s
+        return s
+
+    def spell(w: int):
+        return prefix(w >> k) + pieces[w & mask] if w else empty
+
+    return spell
+
+
+def _word_reader(rank: int) -> Callable[[int], Word]:
+    """Packed word -> ``Word``."""
+    pieces = {}
+    for i in range(1, rank + 1):
+        pieces[2 * i - 1] = (i,)
+        pieces[2 * i] = (-i,)
+    spell = _speller(_letter_bits(rank), pieces, ())
+    return lambda w: Word._from_reduced(spell(w), rank)
+
+
+def _text_reader(rank: int) -> Callable[[int], str]:
+    """Packed word -> the text ``format_word`` gives for it."""
+    pieces = {}
+    if rank <= 26:
+        for i in range(1, rank + 1):
+            pieces[2 * i - 1] = chr(96 + i)
+            pieces[2 * i] = chr(64 + i)
+        spell = _speller(_letter_bits(rank), pieces, "")
+        # the identity is "e", so the lone generator 5 is spelled "g5"
+        fixed = {"": "e", "e": "g5"}
+
+        def text(w: int) -> str:
+            s = spell(w)
+            return fixed.get(s, s)
+
+        return text
+    for i in range(1, rank + 1):
+        pieces[2 * i - 1] = f" g{i}"
+        pieces[2 * i] = f" G{i}"
+    spell = _speller(_letter_bits(rank), pieces, "")
+    return lambda w: spell(w)[1:] if w else "e"
+
+
+def _raw(rank: int, terms: dict[int, int]) -> "RingElement":
+    # Internal constructor for packed term maps already known to be valid and pruned.
     el = object.__new__(RingElement)
     el._rank = rank
     el._terms = terms
@@ -64,14 +171,18 @@ def _raw(rank: int, terms: dict[Word, int]) -> "RingElement":
 
 
 class RingElement:
-    """A finitely supported integer combination of reduced words."""
+    """A finitely supported integer combination of reduced words.
+
+    Terms are keyed by packed words (see the module docstring); the
+    constructor, ``coefficient`` and ``terms`` speak ``Word``.
+    """
 
     __slots__ = ("_rank", "_terms")
 
     def __init__(self, rank: int, terms: Mapping[Word, int] | None = None):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        data: dict[Word, int] = {}
+        data: dict[int, int] = {}
         if terms:
             for w, c in terms.items():
                 if not isinstance(w, Word):
@@ -83,7 +194,7 @@ class RingElement:
                 if not isinstance(c, int):
                     raise TypeError("coefficients must be integers")
                 if c:
-                    data[w] = c
+                    data[_pack(w)] = c
         self._rank = rank
         self._terms = data
 
@@ -102,7 +213,9 @@ class RingElement:
 
     @property
     def terms(self) -> Mapping[Word, int]:
-        return MappingProxyType(self._terms)
+        """A read-only word -> coefficient view, built on each access."""
+        word = _word_reader(self._rank)
+        return MappingProxyType({word(w): c for w, c in self._terms.items()})
 
     @property
     def support_size(self) -> int:
@@ -113,11 +226,13 @@ class RingElement:
         return not self._terms
 
     def coefficient(self, word: Word) -> int:
-        return self._terms.get(word, 0)
+        if word.rank != self._rank:
+            return 0
+        return self._terms.get(_pack(word), 0)
 
     def trace(self) -> int:
         """Canonical trace: the coefficient of the identity word."""
-        return self._terms.get(Word.identity(self._rank), 0)
+        return self._terms.get(0, 0)
 
     def augmentation(self) -> int:
         """Sum of all coefficients (evaluation of the trivial representation)."""
@@ -180,26 +295,44 @@ class RingElement:
 
         Terms are sorted in canonical word order so output is reproducible.
         """
+        text = _text_reader(self._rank)
         return {
             "rank": self._rank,
             "terms": [
-                {"word": format_word(w), "coeff": str(c)}
-                for w, c in sorted(self._terms.items())
+                {"word": text(w), "coeff": str(c)} for w, c in sorted(self._terms.items())
             ],
         }
 
 
 def multiply(x: RingElement, y: RingElement, support_cap: int | None = None) -> RingElement:
-    """Convolution product; refuses once the accumulator outgrows the cap."""
+    """Convolution product; refuses once the accumulator outgrows the cap.
+
+    The letters of each right-hand word are appended to each left-hand
+    word one at a time; a letter cancels the last one when they are
+    inverse, and once one letter stays no later letter of a reduced
+    word can cancel.
+    """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
     cap = _effective_cap(support_cap)
-    acc: dict[Word, int] = {}
-    yitems = y._terms
+    k = _letter_bits(x.rank)
+    mask = (1 << k) - 1
+    right = []
+    for v, cv in y._terms.items():
+        letters = []
+        while v:
+            d = v & mask
+            letters.append((d, _inverse_digit(d)))
+            v >>= k
+        right.append((letters[::-1], cv))
+    acc: dict[int, int] = {}
+    get = acc.get
     for u, cu in x._terms.items():
-        for v, cv in yitems.items():
-            w = u * v
-            c = acc.get(w, 0) + cu * cv
+        for letters, cv in right:
+            w = u
+            for d, inverse in letters:
+                w = w >> k if w & mask == inverse else (w << k) | d
+            c = get(w, 0) + cu * cv
             if c:
                 acc[w] = c
             else:
@@ -237,7 +370,15 @@ def radial_sum(n: int, rank: int, support_cap: int | None = None) -> RingElement
     needed = reduced_word_count(n, rank)
     if needed > cap:
         raise SupportCapError(needed, cap, f"radial sum of length {n}")
-    return _raw(rank, {w: 1 for w in enumerate_reduced_words(n, rank)})
+    k = _letter_bits(rank)
+    mask = (1 << k) - 1
+    digits = range(1, 2 * rank + 1)
+    # the digits that may follow each last digit (0: the empty word)
+    follow = [digits] + [[e for e in digits if e != _inverse_digit(d)] for d in digits]
+    level = [0]
+    for _ in range(n):
+        level = [(w << k) | d for w in level for d in follow[w & mask]]
+    return _raw(rank, dict.fromkeys(level, 1))
 
 
 def generating_operator(rank: int) -> RingElement:
@@ -324,12 +465,21 @@ def conditional_expectation(x: RingElement, h: Hyperword) -> LaurentPolynomial:
     """
     if h.rank != x.rank:
         raise ValueError(f"rank mismatch: element {x.rank}, subgroup generator {h.rank}")
-    coeffs: dict[int, int] = {}
-    for w, c in x.terms.items():
-        k = h.exponent_of(w)
-        if k is not None:
-            coeffs[k] = coeffs.get(k, 0) + c
-    return LaurentPolynomial(coeffs)
+    k = _letter_bits(x.rank)
+    terms = x._terms
+    # powers of h are plain concatenations (h is cyclically reduced), so
+    # the packed h^e is built by shifting; longer ones lie outside the support
+    step = len(h) * k
+    top = _packed_length(max(terms, default=0), k) // len(h)
+    base, inverse = _pack(h.word), _pack(h.word.inverse())
+    exponents = {0: 0}
+    up = down = 0
+    for e in range(1, top + 1):
+        up = (up << step) | base
+        down = (down << step) | inverse
+        exponents[up] = e
+        exponents[down] = -e
+    return LaurentPolynomial({e: terms[w] for w, e in exponents.items() if w in terms})
 
 
 def embed(poly: LaurentPolynomial, h: Hyperword) -> RingElement:

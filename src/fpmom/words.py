@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _word_hash(rank: int, codes: tuple[int, ...]) -> int:
+    # CPython hashes -1 like -2, so the signed codes of words that differ
+    # only in the letters A and B would collide.  Such words hash the image
+    # ~c instead: one-to-one, never -1, and always holding a 0, which no
+    # signed code is, so it cannot meet the codes of a word without A.
+    return hash((rank, codes if -1 not in codes else tuple(map(int.__invert__, codes))))
+
+
 @functools.total_ordering
 class Word:
     """An immutable reduced word over the generators of a free group.
@@ -70,8 +78,7 @@ class Word:
         codes = tuple(stack)
         self._codes = codes
         self._rank = rank
-        # the same hash as _from_reduced, whose comment gives the reason
-        self._hash = hash((rank, codes if -1 not in codes else tuple(map(int.__invert__, codes))))
+        self._hash = _word_hash(rank, codes)
 
     @classmethod
     def _from_reduced(cls, codes: tuple[int, ...], rank: int) -> "Word":
@@ -79,12 +86,7 @@ class Word:
         w = object.__new__(cls)
         w._codes = codes
         w._rank = rank
-        # CPython hashes -1 like -2, so the signed codes of words that differ
-        # only in the letters A and B would collide.  Such words hash the image
-        # ~c instead: one-to-one, never -1, and always holding a 0, which no
-        # signed code is, so it cannot meet the codes of a word without A.
-        # Inlined because ring products build a word per term pair.
-        w._hash = hash((rank, codes if -1 not in codes else tuple(map(int.__invert__, codes))))
+        w._hash = _word_hash(rank, codes)
         return w
 
     @classmethod

@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 
 import fpmom
+import fpmom.ring
 from fpmom.recurrence import decomposition_of
 from fpmom.oracle import walk_counts
 
@@ -98,6 +99,22 @@ def test_traced_names_exist():
     # dataclass fields live on the instances
     assert decomposition_of(3, 2).power == 3
     assert walk_counts(2, 3).counts[3][3] == 4 * 3 * 3
+
+
+def test_traced_ring_calls(monkeypatch):
+    # the tracer counts calls of the module-level multiply and hashes the
+    # keys of RingElement.terms, so both must keep their meaning
+    calls = []
+    real_multiply = fpmom.ring.multiply
+
+    def counting_multiply(*args, **kwargs):
+        calls.append(args)
+        return real_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(fpmom.ring, "multiply", counting_multiply)
+    g5 = fpmom.ring.power(fpmom.ring.generating_operator(2), 5)
+    assert len(calls) == 5
+    assert all(type(word) is fpmom.Word for word in g5.terms)
 
 
 def test_readme_quickstart():

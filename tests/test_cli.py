@@ -259,6 +259,36 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, where):
     assert f"error: cannot write {target}" in err
 
 
+def test_unwritable_output_is_refused_before_computing(tmp_path, capsys, monkeypatch):
+    steps = []
+    real = fpmom.oracle.iter_decompositions
+
+    def counting_iter_decompositions(*args, **kwargs):
+        steps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fpmom.oracle, "iter_decompositions", counting_iter_decompositions)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "verify", "--rank", "2", "--max-order", "11", "--output", "missing/x.json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write missing/x.json: No such file or directory\n"
+    assert steps == []
+
+
+@pytest.mark.parametrize(
+    "flag", [["--oracle", "tree"], ["--ring-max-order", "3"], ["--support-cap", "5"]],
+    ids=["oracle", "ring-max-order", "support-cap"],
+)
+def test_self_test_refuses_flags_it_ignores(capsys, flag):
+    code, out, err = run(capsys, "verify", "--self-test", *flag)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag[0]} has no effect with --self-test" in err
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "amalg", "--rank", "2", "--max-order", "8")
     second = run(capsys, "amalg", "--rank", "2", "--max-order", "8")

@@ -4,11 +4,14 @@ import pytest
 
 from fpmom.oracle import (
     DiffReport,
+    _check_radial,
     brute_force_budget,
     self_test,
     verify,
     walk_counts,
 )
+from fpmom.recurrence import decomposition_of
+from fpmom.ring import RingElement, generating_operator, power
 
 
 def test_walk_counts_rank_two():
@@ -153,3 +156,18 @@ def test_fault_is_localized():
     report = verify(2, 10, ring_max_order=0, walk_table=table)[0]
     assert len(report.mismatches) == 1
     assert "order 6" in report.mismatches[0].location
+
+
+def test_radiality_check_names_the_odd_word():
+    g3 = power(generating_operator(2), 3)
+    dec = decomposition_of(3, 2)
+    report = DiffReport("radiality")
+    _check_radial(report, 3, g3, dec)
+    assert report.passed
+    terms = dict(g3.terms)
+    odd = max(terms)  # BBB, the last word in canonical order
+    terms[odd] += 1
+    _check_radial(report, 3, RingElement(2, terms), dec)
+    assert [tuple(m) for m in report.mismatches] == [
+        ("order 3, length 3: coefficient constancy", "uniform coefficient 1", "2 at BBB")
+    ]

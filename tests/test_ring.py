@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from fpmom.ring import (
     power,
     radial_sum,
 )
-from fpmom.words import Word, parse_word
+from fpmom.words import Word, enumerate_reduced_words, format_word, parse_word
 
 
 def w(text: str, rank: int = 2) -> Word:
@@ -364,3 +366,84 @@ def test_expectation_bimodule_shift(x, p, q):
 def test_augmentation_is_a_homomorphism(x, y):
     assert multiply(x, y).augmentation() == x.augmentation() * y.augmentation()
     assert (x + y).augmentation() == x.augmentation() + y.augmentation()
+
+
+# ---- the packed kernel against Word arithmetic ----
+
+# k = (2N).bit_length() bits per letter: 2 at rank 1, 4 at rank 4 (2N = 8),
+# 5 at rank 8, 6 at rank 27 (indexed spelling)
+_KERNEL_RANKS = (1, 2, 3, 4, 5, 6, 7, 8, 27)
+
+
+def _random_word_of(rng, rank, max_len):
+    codes = [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(0, max_len))]
+    return Word(codes, rank=rank)
+
+
+def _random_terms(rng, rank, size, max_len):
+    terms = {}
+    for _ in range(size):
+        word = _random_word_of(rng, rank, max_len)
+        terms[word] = terms.get(word, 0) + rng.choice([c for c in range(-4, 5) if c])
+    if rank >= 5:
+        terms[Word([5], rank=rank)] = 7  # spelled "g5", not the identity's "e"
+    return {word: c for word, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("rank", _KERNEL_RANKS)
+def test_packed_product_matches_word_product(rank):
+    rng = random.Random(4100 + rank)
+    for _ in range(20):
+        xt = _random_terms(rng, rank, 8, 5)
+        yt = _random_terms(rng, rank, 8, 5)
+        expected = {}
+        for u, cu in xt.items():
+            for v, cv in yt.items():
+                expected[u * v] = expected.get(u * v, 0) + cu * cv
+        got = multiply(RingElement(rank, xt), RingElement(rank, yt))
+        assert dict(got.terms) == {word: c for word, c in expected.items() if c}
+
+
+@pytest.mark.parametrize("rank", _KERNEL_RANKS)
+def test_packed_terms_round_trip_and_json_order(rank):
+    rng = random.Random(4200 + rank)
+    for _ in range(20):
+        terms = _random_terms(rng, rank, 12, 7)
+        x = RingElement(rank, terms)
+        assert dict(x.terms) == terms
+        assert all(type(word) is Word for word in x.terms)
+        assert RingElement(rank, x.terms) == x
+        for word, c in terms.items():
+            assert x.coefficient(word) == c
+        payload = x.to_json_dict()["terms"]
+        assert [t["word"] for t in payload] == [format_word(word) for word in sorted(terms)]
+        assert [t["coeff"] for t in payload] == [str(terms[word]) for word in sorted(terms)]
+    if rank > 26:
+        assert RingElement.monomial(Word([1, -27], rank=rank)).to_json_dict()["terms"] == [
+            {"word": "g1 G27", "coeff": "1"}
+        ]
+
+
+@pytest.mark.parametrize("rank", (2, 3, 4, 8, 27))
+def test_packed_expectation_matches_exponent_of(rank):
+    rng = random.Random(4300 + rank)
+    h = Hyperword.canonical(rank)
+    for _ in range(20):
+        terms = _random_terms(rng, rank, 6, 4)
+        for _ in range(3):
+            k = rng.randint(-3, 3)
+            terms[h.power(k)] = terms.get(h.power(k), 0) + rng.randint(1, 9)
+        expected = {}
+        for word, c in terms.items():
+            k = h.exponent_of(word)
+            if k is not None:
+                expected[k] = expected.get(k, 0) + c
+        assert conditional_expectation(RingElement(rank, terms), h) == LaurentPolynomial(expected)
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 5, 27))
+def test_packed_radial_sum_matches_enumeration(rank):
+    for n in range(4 if rank < 27 else 3):
+        assert dict(radial_sum(n, rank).terms) == dict.fromkeys(
+            enumerate_reduced_words(n, rank), 1
+        )
