@@ -13,7 +13,9 @@ that cannot be written; a missing parent directory or a directory is
 refused before any computation), 3 resource cap hit.
 `expand` and `verify` expand powers of G in the group ring; for them the
 environment variable FPMOM_SUPPORT_CAP overrides the default term cap,
-and --support-cap overrides both.
+and --support-cap overrides both.  `verify --oracle tree` expands
+nothing, so it refuses --ring-max-order and --support-cap (exit 2), and
+`verify --self-test` refuses those two and --oracle.
 """
 
 from __future__ import annotations
@@ -157,13 +159,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.ring_max_order is None or args.ring_max_order >= 1,
         "--ring-max-order must be >= 1 (--oracle tree skips the ring oracle)",
     )
+    ring_flags = (("--ring-max-order", args.ring_max_order), ("--support-cap", args.support_cap))
     if args.self_test:
-        for flag, value in (
-            ("--oracle", args.oracle),
-            ("--ring-max-order", args.ring_max_order),
-            ("--support-cap", args.support_cap),
-        ):
-            _require(value is None, f"{flag} has no effect with --self-test")
+        mode, ignored = "--self-test", (("--oracle", args.oracle), *ring_flags)
+    elif args.oracle == "tree":
+        mode, ignored = "--oracle tree", ring_flags
+    else:
+        ignored = ()
+    for flag, value in ignored:
+        _require(value is None, f"{flag} has no effect with {mode}")
     cap = _resolve_cap(args)
 
     if args.self_test:

@@ -24,14 +24,11 @@ from .recurrence import RadialDecomposition, amalgamated_projection, iter_decomp
 from .ring import (
     Hyperword,
     RingElement,
-    _letter_bits,
-    _packed_length,
-    _word_reader,
     conditional_expectation,
     generating_operator,
     iter_powers,
 )
-from .words import format_word, reduced_word_count
+from .words import Word, _letter_bits, _packed_length, format_word, reduced_word_count
 
 __all__ = [
     "Mismatch",
@@ -233,7 +230,7 @@ def _check_radial(
             report.record(
                 f"order {n}, length {m}: coefficient constancy",
                 f"uniform coefficient {seen}",
-                f"{c} at {format_word(_word_reader(gn.rank)(w))}",
+                f"{c} at {format_word(Word._of(w, gn.rank))}",
             )
             return
     if by_length != dict(dec.coeffs):

@@ -6,26 +6,12 @@ entries.  The module is deliberately brute force: it expands products
 word by word and serves as the ground truth that the fast radial
 recurrence is verified against.
 
-Packed words
-------------
-Inside an element each reduced word is one int: its letters are packed
-most significant first, k = (2N).bit_length() bits per letter, with the
-digits a=1, A=2, b=3, B=4, ... (code c > 0 is 2c-1, code c < 0 is 2|c|).
-The identity is 0, and no digit is 0, so
-
-* multiplying on the right by the letter with digit d is ``w >> k`` when
-  the last digit ``w & mask`` is the inverse of d, and ``(w << k) | d``
-  otherwise;
-* a word's length is ``ceil(w.bit_length() / k)``;
-* plain int order is the canonical word order (length first, then
-  a < A < b < B < ...), so sorting the ints sorts the words.
-
-``Word`` stays the type of the public API, and the ring converts only at
-its edges: the constructor and ``coefficient`` pack words; ``terms`` and
-``to_json_dict`` unpack them through a prefix memo,
-``spell(w) = spell(w >> k) + letter``; the conditional expectation looks
-up the packed powers of h; and the radiality check in ``fpmom.oracle``
-reads lengths from bit lengths.
+Terms are keyed by packed words, the ints that ``Word`` itself stores
+(see the ``fpmom.words`` module docstring for the format), so the
+product kernel appends letters by shifting ints, and sorting the keys
+sorts the words.  ``Word`` stays the type of the public API: the
+constructor and ``coefficient`` read a word's int, ``terms`` wraps each
+int in a ``Word``, and ``to_json_dict`` spells the ints directly.
 
 Supports of powers of the generating operator grow like (2N-1)^n, so
 every expanding operation takes a term cap (default ``10**8``) and
@@ -35,10 +21,19 @@ refuses with :class:`SupportCapError` rather than exhausting memory.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .laurent import LaurentPolynomial
-from .words import Word, format_word, reduced_word_count
+from .words import (
+    Word,
+    _inverse_digit,
+    _letter_bits,
+    _level,
+    _packed_length,
+    _text_reader,
+    format_word,
+    reduced_word_count,
+)
 
 __all__ = [
     "DEFAULT_SUPPORT_CAP",
@@ -76,92 +71,6 @@ def _effective_cap(support_cap: int | None) -> int:
     return cap
 
 
-# ---- packed words ----
-
-
-def _letter_bits(rank: int) -> int:
-    """Bits per packed letter: enough for the largest digit, 2N."""
-    return (2 * rank).bit_length()
-
-
-def _inverse_digit(d: int) -> int:
-    return d + 1 if d & 1 else d - 1
-
-
-def _pack(word: Word) -> int:
-    k = _letter_bits(word.rank)
-    w = 0
-    for c in word.codes:
-        w = (w << k) | (2 * c - 1 if c > 0 else -2 * c)
-    return w
-
-
-def _packed_length(w: int, k: int) -> int:
-    return -(-w.bit_length() // k)
-
-
-def _speller(k: int, pieces: Mapping[int, str | tuple], empty: str | tuple) -> Callable:
-    """Return spell(w): the pieces of w's digits concatenated, most significant first.
-
-    Prefixes are memoized, so spelling a support costs about one
-    concatenation per word.  The memo is filled without recursion, so a
-    long word cannot exhaust the stack.
-    """
-    mask = (1 << k) - 1
-    memo = {0: empty}
-
-    def prefix(w: int):
-        s = memo.get(w)
-        if s is None:
-            chain = []
-            while s is None:
-                chain.append(w)
-                w >>= k
-                s = memo.get(w)
-            for p in reversed(chain):
-                s += pieces[p & mask]
-                memo[p] = s
-        return s
-
-    def spell(w: int):
-        return prefix(w >> k) + pieces[w & mask] if w else empty
-
-    return spell
-
-
-def _word_reader(rank: int) -> Callable[[int], Word]:
-    """Packed word -> ``Word``."""
-    pieces = {}
-    for i in range(1, rank + 1):
-        pieces[2 * i - 1] = (i,)
-        pieces[2 * i] = (-i,)
-    spell = _speller(_letter_bits(rank), pieces, ())
-    return lambda w: Word._from_reduced(spell(w), rank)
-
-
-def _text_reader(rank: int) -> Callable[[int], str]:
-    """Packed word -> the text ``format_word`` gives for it."""
-    pieces = {}
-    if rank <= 26:
-        for i in range(1, rank + 1):
-            pieces[2 * i - 1] = chr(96 + i)
-            pieces[2 * i] = chr(64 + i)
-        spell = _speller(_letter_bits(rank), pieces, "")
-        # the identity is "e", so the lone generator 5 is spelled "g5"
-        fixed = {"": "e", "e": "g5"}
-
-        def text(w: int) -> str:
-            s = spell(w)
-            return fixed.get(s, s)
-
-        return text
-    for i in range(1, rank + 1):
-        pieces[2 * i - 1] = f" g{i}"
-        pieces[2 * i] = f" G{i}"
-    spell = _speller(_letter_bits(rank), pieces, "")
-    return lambda w: spell(w)[1:] if w else "e"
-
-
 def _raw(rank: int, terms: dict[int, int]) -> "RingElement":
     # Internal constructor for packed term maps already known to be valid and pruned.
     el = object.__new__(RingElement)
@@ -194,7 +103,7 @@ class RingElement:
                 if not isinstance(c, int):
                     raise TypeError("coefficients must be integers")
                 if c:
-                    data[_pack(w)] = c
+                    data[w._packed] = c
         self._rank = rank
         self._terms = data
 
@@ -214,8 +123,8 @@ class RingElement:
     @property
     def terms(self) -> Mapping[Word, int]:
         """A read-only word -> coefficient view, built on each access."""
-        word = _word_reader(self._rank)
-        return MappingProxyType({word(w): c for w, c in self._terms.items()})
+        rank = self._rank
+        return MappingProxyType({Word._of(w, rank): c for w, c in self._terms.items()})
 
     @property
     def support_size(self) -> int:
@@ -228,7 +137,7 @@ class RingElement:
     def coefficient(self, word: Word) -> int:
         if word.rank != self._rank:
             return 0
-        return self._terms.get(_pack(word), 0)
+        return self._terms.get(word._packed, 0)
 
     def trace(self) -> int:
         """Canonical trace: the coefficient of the identity word."""
@@ -370,15 +279,7 @@ def radial_sum(n: int, rank: int, support_cap: int | None = None) -> RingElement
     needed = reduced_word_count(n, rank)
     if needed > cap:
         raise SupportCapError(needed, cap, f"radial sum of length {n}")
-    k = _letter_bits(rank)
-    mask = (1 << k) - 1
-    digits = range(1, 2 * rank + 1)
-    # the digits that may follow each last digit (0: the empty word)
-    follow = [digits] + [[e for e in digits if e != _inverse_digit(d)] for d in digits]
-    level = [0]
-    for _ in range(n):
-        level = [(w << k) | d for w in level for d in follow[w & mask]]
-    return _raw(rank, dict.fromkeys(level, 1))
+    return _raw(rank, dict.fromkeys(_level(n, rank), 1))
 
 
 def generating_operator(rank: int) -> RingElement:
@@ -436,9 +337,12 @@ class Hyperword:
         cached = self._powers.get(k)
         if cached is None:
             # A cyclically reduced word's powers are plain concatenations.
-            base = self._word if k > 0 else self._word.inverse()
-            cached = Word._from_reduced(base.codes * abs(k), self.rank)
-            self._powers[k] = cached
+            base = (self._word if k > 0 else self._word.inverse())._packed
+            step = len(self._word) * _letter_bits(self.rank)
+            w = 0
+            for _ in range(abs(k)):
+                w = (w << step) | base
+            cached = self._powers[k] = Word._of(w, self.rank)
         return cached
 
     def exponent_of(self, w: Word) -> int | None:
@@ -465,20 +369,10 @@ def conditional_expectation(x: RingElement, h: Hyperword) -> LaurentPolynomial:
     """
     if h.rank != x.rank:
         raise ValueError(f"rank mismatch: element {x.rank}, subgroup generator {h.rank}")
-    k = _letter_bits(x.rank)
     terms = x._terms
-    # powers of h are plain concatenations (h is cyclically reduced), so
-    # the packed h^e is built by shifting; longer ones lie outside the support
-    step = len(h) * k
-    top = _packed_length(max(terms, default=0), k) // len(h)
-    base, inverse = _pack(h.word), _pack(h.word.inverse())
-    exponents = {0: 0}
-    up = down = 0
-    for e in range(1, top + 1):
-        up = (up << step) | base
-        down = (down << step) | inverse
-        exponents[up] = e
-        exponents[down] = -e
+    # longer powers of h lie outside the support
+    top = _packed_length(max(terms, default=0), _letter_bits(x.rank)) // len(h)
+    exponents = {h.power(e)._packed: e for e in range(-top, top + 1)}
     return LaurentPolynomial({e: terms[w] for w, e in exponents.items() if w in terms})
 
 

@@ -1,9 +1,26 @@
 """Reduced words in the free group on N generators.
 
-A word is a sequence of letters, and a letter is a nonzero integer code:
-``+i`` stands for the i-th generator (1-based), ``-i`` for its inverse.
-Every constructor applies free reduction, so any ``Word`` in circulation
-is reduced; the empty word is the group identity.
+A letter is a nonzero integer code: ``+i`` stands for the i-th generator
+(1-based), ``-i`` for its inverse.  Every constructor applies free
+reduction, so any ``Word`` in circulation is reduced; the empty word is
+the group identity.
+
+Packed words
+------------
+A ``Word`` is stored as one int, and the group ring in ``fpmom.ring``
+keys its terms by the same ints.  The letters are packed most
+significant first, k = (2N).bit_length() bits per letter, with the
+digits a=1, A=2, b=3, B=4, ... (code c > 0 is 2c-1, code c < 0 is 2|c|).
+The identity is 0, and no digit is 0, so
+
+* multiplying on the right by the letter with digit d is ``w >> k`` when
+  the last digit ``w & mask`` is the inverse of d, and ``(w << k) | d``
+  otherwise;
+* a word's length is ``ceil(w.bit_length() / k)``;
+* plain int order is the canonical word order (length first, then
+  a < A < b < B < ...), so sorting the ints sorts the words;
+* the int is never -1, so ``(rank, int)`` hashes without collisions
+  between short words.
 
 Text grammar
 ------------
@@ -23,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Word",
@@ -34,12 +51,17 @@ __all__ = [
 ]
 
 
-def _word_hash(rank: int, codes: tuple[int, ...]) -> int:
-    # CPython hashes -1 like -2, so the signed codes of words that differ
-    # only in the letters A and B would collide.  Such words hash the image
-    # ~c instead: one-to-one, never -1, and always holding a 0, which no
-    # signed code is, so it cannot meet the codes of a word without A.
-    return hash((rank, codes if -1 not in codes else tuple(map(int.__invert__, codes))))
+def _letter_bits(rank: int) -> int:
+    """Bits per packed letter: enough for the largest digit, 2N."""
+    return (2 * rank).bit_length()
+
+
+def _inverse_digit(d: int) -> int:
+    return d + 1 if d & 1 else d - 1
+
+
+def _packed_length(w: int, k: int) -> int:
+    return -(-w.bit_length() // k)
 
 
 @functools.total_ordering
@@ -58,12 +80,14 @@ class Word:
     is the order used for serialized output.
     """
 
-    __slots__ = ("_codes", "_rank", "_hash")
+    __slots__ = ("_packed", "_rank")
 
     def __init__(self, letters: Iterable[int] = (), *, rank: int):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        stack: list[int] = []
+        k = _letter_bits(rank)
+        mask = (1 << k) - 1
+        w = 0
         for code in letters:
             if not isinstance(code, int):
                 raise TypeError(f"letter codes must be int, got {type(code).__name__}")
@@ -71,22 +95,17 @@ class Word:
                 raise ValueError("letter code 0 does not name a generator")
             if abs(code) > rank:
                 raise ValueError(f"generator {abs(code)} is beyond rank {rank}")
-            if stack and stack[-1] == -code:
-                stack.pop()
-            else:
-                stack.append(code)
-        codes = tuple(stack)
-        self._codes = codes
+            d = 2 * code - 1 if code > 0 else -2 * code
+            w = w >> k if w & mask == _inverse_digit(d) else (w << k) | d
+        self._packed = w
         self._rank = rank
-        self._hash = _word_hash(rank, codes)
 
     @classmethod
-    def _from_reduced(cls, codes: tuple[int, ...], rank: int) -> "Word":
-        # Fast path for callers that guarantee `codes` is already reduced.
+    def _of(cls, packed: int, rank: int) -> "Word":
+        # For callers that hold a packed reduced word.
         w = object.__new__(cls)
-        w._codes = codes
+        w._packed = packed
         w._rank = rank
-        w._hash = _word_hash(rank, codes)
         return w
 
     @classmethod
@@ -100,60 +119,69 @@ class Word:
     @property
     def codes(self) -> tuple[int, ...]:
         """Signed-integer encoding: +i for the i-th generator, -i for its inverse."""
-        return self._codes
+        k = _letter_bits(self._rank)
+        mask = (1 << k) - 1
+        w = self._packed
+        codes = []
+        while w:
+            d = w & mask
+            codes.append(d + 1 >> 1 if d & 1 else -(d >> 1))
+            w >>= k
+        return tuple(reversed(codes))
 
     @property
     def is_identity(self) -> bool:
-        return not self._codes
+        return not self._packed
 
     @property
     def is_cyclically_reduced(self) -> bool:
         """True if no cancellation occurs at the seam when the word is squared."""
-        return len(self._codes) < 2 or self._codes[0] != -self._codes[-1]
+        k = _letter_bits(self._rank)
+        w = self._packed
+        n = _packed_length(w, k)
+        return n < 2 or w >> k * (n - 1) != _inverse_digit(w & (1 << k) - 1)
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return _packed_length(self._packed, _letter_bits(self._rank))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._rank, self._packed))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self._rank == other._rank and self._codes == other._codes
-
-    def sort_key(self) -> tuple:
-        return (
-            len(self._codes),
-            tuple((abs(c), 0 if c > 0 else 1) for c in self._codes),
-        )
+        return self._rank == other._rank and self._packed == other._packed
 
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
             return NotImplemented
         if self._rank != other._rank:
             raise ValueError("cannot order words of different ranks")
-        return self.sort_key() < other.sort_key()
+        return self._packed < other._packed
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
         if self._rank != other._rank:
             raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
-        u, v = self._codes, other._codes
-        k = 0
-        limit = min(len(u), len(v))
+        k = _letter_bits(self._rank)
+        u, v = self._packed, other._packed
+        n = _packed_length(v, k)
         # cancellation happens only at the junction because both factors are reduced
-        while k < limit and u[-1 - k] == -v[k]:
-            k += 1
-        if k:
-            codes = u[: len(u) - k] + v[k:]
-        else:
-            codes = u + v
-        return Word._from_reduced(codes, self._rank)
+        while n and u & (1 << k) - 1 == _inverse_digit(v >> k * (n - 1)):
+            u >>= k
+            n -= 1
+            v &= (1 << k * n) - 1
+        return Word._of((u << k * n) | v, self._rank)
 
     def inverse(self) -> "Word":
-        return Word._from_reduced(tuple(-c for c in reversed(self._codes)), self._rank)
+        k = _letter_bits(self._rank)
+        mask = (1 << k) - 1
+        v, w = self._packed, 0
+        while v:
+            w = (w << k) | _inverse_digit(v & mask)
+            v >>= k
+        return Word._of(w, self._rank)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -211,6 +239,46 @@ def parse_word(text: str, rank: int) -> Word:
     return Word(codes, rank=rank)
 
 
+def _text_reader(rank: int) -> Callable[[int], str]:
+    """Return text(w): the spelling of the packed word w, compact when the
+    rank allows it, indexed otherwise.
+
+    The spelling of each prefix ``w >> k`` is kept, so spelling a whole
+    support costs about one concatenation per word.
+    """
+    k = _letter_bits(rank)
+    mask = (1 << k) - 1
+    if rank <= 26:
+        sep = ""
+        pieces = ["", *(ch for i in range(rank) for ch in (chr(97 + i), chr(65 + i)))]
+    else:
+        sep = " "
+        pieces = ["", *(f"{g}{i}" for i in range(1, rank + 1) for g in "gG")]
+    lone = ["e", *pieces[1:]]
+    if 5 <= rank <= 26:
+        # lone generator 5 collides with the identity spelling
+        lone[9] = "g5"
+    prefixes: dict[int, str] = {}
+
+    def prefix(p: int) -> str:
+        s = prefixes.get(p)
+        if s is None:
+            letters = []
+            q = p
+            while q:
+                letters.append(pieces[q & mask])
+                q >>= k
+            s = prefixes[p] = sep.join(reversed(letters))
+        return s
+
+    def text(w: int) -> str:
+        if w <= mask:
+            return lone[w]
+        return prefix(w >> k) + sep + pieces[w & mask]
+
+    return text
+
+
 def format_word(w: Word) -> str:
     """Render a word; compact form when the rank allows it, indexed otherwise.
 
@@ -219,15 +287,7 @@ def format_word(w: Word) -> str:
     >>> format_word(Word([], rank=2))
     'e'
     """
-    if w.is_identity:
-        return "e"
-    if w.rank <= 26:
-        text = "".join(chr(96 + c) if c > 0 else chr(64 - c) for c in w.codes)
-        if text == "e":
-            # lone generator 5 collides with the identity spelling
-            return "g5"
-        return text
-    return " ".join(f"g{c}" if c > 0 else f"G{-c}" for c in w.codes)
+    return _text_reader(w.rank)(w._packed)
 
 
 def reduced_word_count(length: int, rank: int) -> int:
@@ -241,20 +301,24 @@ def reduced_word_count(length: int, rank: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
+def _level(length: int, rank: int) -> list[int]:
+    """Every packed reduced word of the given length, in canonical order."""
+    k = _letter_bits(rank)
+    mask = (1 << k) - 1
+    digits = range(1, 2 * rank + 1)
+    # the digits that may follow each last digit (0: the empty word)
+    follow = [digits] + [[e for e in digits if e != _inverse_digit(d)] for d in digits]
+    level = [0]
+    for _ in range(length):
+        level = [(w << k) | d for w in level for d in follow[w & mask]]
+    return level
+
+
 def enumerate_reduced_words(length: int, rank: int) -> Iterator[Word]:
     """Yield every reduced word of exactly the given length, in sorted order."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if length == 0:
-        yield Word.identity(rank)
-        return
-    alphabet: list[int] = []
-    for i in range(1, rank + 1):
-        alphabet.extend((i, -i))
-    level: list[tuple[int, ...]] = [(c,) for c in alphabet]
-    for _ in range(length - 1):
-        level = [t + (c,) for t in level for c in alphabet if c != -t[-1]]
-    for codes in level:
-        yield Word._from_reduced(codes, rank)
+    for w in _level(length, rank):
+        yield Word._of(w, rank)

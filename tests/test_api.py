@@ -1,6 +1,8 @@
 """The public surface: package exports, the names the benchmark tracer
-binds, the README quickstart, and every docstring example."""
+binds, the README quickstart, every docstring example, and the one
+module that owns the packed word format."""
 
+import ast
 import doctest
 import importlib
 import inspect
@@ -115,6 +117,27 @@ def test_traced_ring_calls(monkeypatch):
     g5 = fpmom.ring.power(fpmom.ring.generating_operator(2), 5)
     assert len(calls) == 5
     assert all(type(word) is fpmom.Word for word in g5.terms)
+
+
+# fpmom.words defines the packed word format; other modules import these
+PACKED_FORMAT_HELPERS = {"_letter_bits", "_inverse_digit", "_packed_length", "_text_reader", "_level"}
+
+
+def test_words_owns_the_packed_format():
+    for module in _modules():
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "ring") or node.module == "fpmom.ring"
+            ):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (module.__name__, private)
+        if module.__name__ != "fpmom.words":
+            defined = {
+                node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            }
+            assert not defined & PACKED_FORMAT_HELPERS, module.__name__
+    assert fpmom.Word.__slots__ == ("_packed", "_rank")
 
 
 def test_readme_quickstart():

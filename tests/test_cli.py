@@ -289,6 +289,24 @@ def test_self_test_refuses_flags_it_ignores(capsys, flag):
     assert f"error: {flag[0]} has no effect with --self-test" in err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--ring-max-order", "5"], ["--support-cap", "1"]],
+    ids=["ring-max-order", "support-cap"],
+)
+def test_tree_oracle_refuses_ring_flags(capsys, flag):
+    code, out, err = run(capsys, "verify", "--oracle", "tree", *flag)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag[0]} has no effect with --oracle tree" in err
+
+
+def test_tree_oracle_keeps_the_env_cap(capsys, monkeypatch):
+    # FPMOM_SUPPORT_CAP is a process-wide default, not a flag to refuse
+    monkeypatch.setenv("FPMOM_SUPPORT_CAP", "1")
+    code, _, _ = run(capsys, "verify", "--max-order", "6", "--oracle", "tree")
+    assert code == 0
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "amalg", "--rank", "2", "--max-order", "8")
     second = run(capsys, "amalg", "--rank", "2", "--max-order", "8")

@@ -280,7 +280,7 @@ def test_json_round_trip_and_order():
     payload = x.to_json_dict()
     assert payload["rank"] == 2
     words = [entry["word"] for entry in payload["terms"]]
-    assert words == sorted(words, key=lambda s: parse_word(s, 2).sort_key())
+    assert words == sorted(words, key=lambda s: _order_key(parse_word(s, 2)))
     assert words[0] == "a"  # shortest class first, 'a' before its inverse
     assert all(isinstance(entry["coeff"], str) for entry in payload["terms"])
     assert _decode_element(payload) == x
@@ -368,16 +368,46 @@ def test_augmentation_is_a_homomorphism(x, y):
     assert (x + y).augmentation() == x.augmentation() + y.augmentation()
 
 
-# ---- the packed kernel against Word arithmetic ----
+# ---- packed words and the packed kernel against signed-code references ----
+
+
+def _reduced(codes):
+    """Free reduction with a plain signed-code stack."""
+    stack = []
+    for c in codes:
+        if stack and stack[-1] == -c:
+            stack.pop()
+        else:
+            stack.append(c)
+    return tuple(stack)
+
+
+def _spelling(codes, rank):
+    """The compact spelling up to rank 26 (lone generator 5 as "g5"), indexed above."""
+    if not codes:
+        return "e"
+    if rank <= 26:
+        text = "".join(chr(96 + c) if c > 0 else chr(64 - c) for c in codes)
+        return "g5" if text == "e" else text
+    return " ".join(f"g{c}" if c > 0 else f"G{-c}" for c in codes)
+
+
+def _order_key(word):
+    """Length first, then letter by letter, each generator before its inverse."""
+    return (len(word.codes), tuple((abs(c), 0 if c > 0 else 1) for c in word.codes))
+
 
 # k = (2N).bit_length() bits per letter: 2 at rank 1, 4 at rank 4 (2N = 8),
 # 5 at rank 8, 6 at rank 27 (indexed spelling)
 _KERNEL_RANKS = (1, 2, 3, 4, 5, 6, 7, 8, 27)
 
 
+def _random_codes(rng, rank, max_len):
+    return [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(0, max_len))]
+
+
 def _random_word_of(rng, rank, max_len):
-    codes = [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(0, max_len))]
-    return Word(codes, rank=rank)
+    return Word(_random_codes(rng, rank, max_len), rank=rank)
 
 
 def _random_terms(rng, rank, size, max_len):
@@ -391,6 +421,22 @@ def _random_terms(rng, rank, size, max_len):
 
 
 @pytest.mark.parametrize("rank", _KERNEL_RANKS)
+def test_packed_word_matches_code_references(rank):
+    rng = random.Random(4000 + rank)
+    raw = [_random_codes(rng, rank, 9) for _ in range(300)] + [[], [rank], [-rank]]
+    words = [Word(codes, rank=rank) for codes in raw]
+    assert sorted(words) == sorted(words, key=_order_key)
+    for codes, word in zip(raw, words):
+        assert word.codes == _reduced(codes)
+        assert len(word) == len(word.codes)
+        assert format_word(word) == _spelling(word.codes, rank)
+        assert Word(word.codes, rank=rank) == word
+        assert word.inverse().codes == tuple(-c for c in reversed(word.codes))
+    for u, v in zip(words, reversed(words)):
+        assert (u * v).codes == _reduced(u.codes + v.codes)
+
+
+@pytest.mark.parametrize("rank", _KERNEL_RANKS)
 def test_packed_product_matches_word_product(rank):
     rng = random.Random(4100 + rank)
     for _ in range(20):
@@ -399,9 +445,12 @@ def test_packed_product_matches_word_product(rank):
         expected = {}
         for u, cu in xt.items():
             for v, cv in yt.items():
-                expected[u * v] = expected.get(u * v, 0) + cu * cv
+                uv = _reduced(u.codes + v.codes)
+                expected[uv] = expected.get(uv, 0) + cu * cv
         got = multiply(RingElement(rank, xt), RingElement(rank, yt))
-        assert dict(got.terms) == {word: c for word, c in expected.items() if c}
+        assert {word.codes: c for word, c in got.terms.items()} == {
+            codes: c for codes, c in expected.items() if c
+        }
 
 
 @pytest.mark.parametrize("rank", _KERNEL_RANKS)
@@ -416,8 +465,9 @@ def test_packed_terms_round_trip_and_json_order(rank):
         for word, c in terms.items():
             assert x.coefficient(word) == c
         payload = x.to_json_dict()["terms"]
-        assert [t["word"] for t in payload] == [format_word(word) for word in sorted(terms)]
-        assert [t["coeff"] for t in payload] == [str(terms[word]) for word in sorted(terms)]
+        order = sorted(terms, key=_order_key)
+        assert [t["word"] for t in payload] == [_spelling(word.codes, rank) for word in order]
+        assert [t["coeff"] for t in payload] == [str(terms[word]) for word in order]
     if rank > 26:
         assert RingElement.monomial(Word([1, -27], rank=rank)).to_json_dict()["terms"] == [
             {"word": "g1 G27", "coeff": "1"}
