@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .recurrence import RadialDecomposition, amalgamated_projection, iter_decompositions
+from .recurrence import (
+    RadialDecomposition,
+    _horizon_for,
+    amalgamated_projection,
+    iter_decompositions,
+)
 from .ring import (
     Hyperword,
     RingElement,
@@ -78,7 +83,11 @@ class DiffReport:
 
 @dataclass
 class WalkTable:
-    """counts[s][d]: walks of length s from the root ending at distance d."""
+    """counts[s][d]: walks of length s from the root ending at distance d.
+
+    A table built under a horizon H holds only the distances d <= H - s
+    in row s (see ``walk_counts``).
+    """
 
     rank: int
     max_steps: int
@@ -89,26 +98,38 @@ class WalkTable:
         return self.counts[steps][0]
 
 
-def walk_counts(rank: int, max_steps: int) -> WalkTable:
+def walk_counts(rank: int, max_steps: int, *, _horizon: int | None = None) -> WalkTable:
     """Count walks on the 2N-regular tree by length and end distance.
 
     From the root all 2N edges lead outward; from any other vertex one
     edge leads inward and 2N-1 lead outward.  Row sums are (2N)^s.
+
+    ``_horizon`` is private to fpmom.  Each step moves one edge, so a
+    walk at distance d after s steps can be back at the root after M
+    steps only when d <= M - s.  ``verify`` reads only the returning
+    counts, so it passes the horizon H of its radial chain (even and
+    >= max_steps, see ``fpmom.recurrence``) and row s keeps only the
+    distances d <= H - s.  Every kept count is exact, since distance d
+    of the next row reads only distances d - 1 and d + 1 <= H - s.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if _horizon is not None and _horizon < max_steps:
+        raise ValueError(f"horizon {_horizon} is below max_steps {max_steps}")
     two_n = 2 * rank
     rows = [[1]]
     for s in range(max_steps):
         prev = rows[-1]
-        cur = [0] * (s + 2)
+        cur = [0] * (len(prev) + 1)
         for d, c in enumerate(prev):
             if c:
                 cur[d + 1] += c * (two_n if d == 0 else two_n - 1)
                 if d:
                     cur[d - 1] += c
+        if _horizon is not None:
+            del cur[_horizon - s:]  # row s + 1 keeps d <= H - (s + 1)
         rows.append(cur)
     return WalkTable(rank, max_steps, rows)
 
@@ -169,6 +190,9 @@ def verify(
     if not use_tree and ring_limit < 1:
         raise ValueError("verify needs the tree oracle or a ring limit >= 1")
     covered = max_order if use_tree else ring_limit
+    # Past the ring limit only the constant classes are read (module docstring
+    # of fpmom.recurrence); the horizon keeps every ring-paired power whole.
+    horizon = _horizon_for(covered, ring_limit)
     scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
     reports = [scalar]
     powers = amalgamated = radiality = None
@@ -186,7 +210,7 @@ def verify(
 
     constants = []
     traces = []
-    for dec in iter_decompositions(rank, covered):
+    for dec in iter_decompositions(rank, covered, _horizon=horizon):
         constants.append(dec.coefficient(0))
         if dec.power > ring_limit:
             continue
@@ -202,7 +226,9 @@ def verify(
     # The scalar report lists tree-walk mismatches before group-ring ones,
     # so both scalar comparisons run after the chain.
     if use_tree:
-        table = walk_table if walk_table is not None else walk_counts(rank, max_order)
+        table = walk_table
+        if table is None:
+            table = walk_counts(rank, max_order, _horizon=horizon)
         for n, actual in enumerate(constants, 1):
             expected = table.returning(n)
             if expected != actual:

@@ -20,6 +20,20 @@ constant class.  The moment over the cyclic subgroup generated by the
 length-2N product of all generators and their inverses reads off the
 classes whose length is a multiple of 2N (``amalgamated_projection``).
 No word expansion is ever needed.
+
+A step moves each class by one, so class m of G^n can reach the
+constant class of G^M only when m <= M - n.  A chain that only needs
+constant classes up to order M is therefore walked under a private
+horizon H >= M: at power n it keeps just the classes m <= H - n.  Every
+kept coefficient is still exact, since class m of the next power reads
+only classes m - 1 and m + 1 <= H - n.  H is even, so the top kept class
+is exactly H - n (which has the parity of n) and no list is ever empty
+up to power H; a power n with 2n <= H is kept whole.  The scalar series
+and ``verify`` use H = max(M rounded up to even, 2 * ring limit), so the
+powers the ring oracle expands stay whole.  The amalgamated series and
+``xdecomp`` cannot use a horizon: at power n they read every class up to
+n, and keeping class n at every power n <= M takes H = 2M, whose bound
+2M - n >= n keeps every list whole.
 """
 
 from __future__ import annotations
@@ -51,6 +65,12 @@ class RadialDecomposition:
     carries coefficient 1.  ``classes`` is the decomposition's own
     storage and must not be mutated; ``coeffs`` is a read-only
     class -> coefficient view of it.
+
+    A decomposition from a chain with a horizon (see the module
+    docstring) may be truncated: ``classes`` then stops at its highest
+    kept class, ``coeffs`` and ``rows`` cover only the kept classes, and
+    ``coefficient`` and ``mass`` raise ``ValueError`` rather than answer
+    for a dropped class.
     """
 
     rank: int
@@ -70,18 +90,32 @@ class RadialDecomposition:
                 raise ValueError(f"class {m} is outside 0..{power}")
             if (power - m) % 2:
                 raise ValueError(f"class {m} has the wrong parity for power {power}")
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"class {m} has coefficient {c!r}, not an int")
             if c <= 0:
                 raise ValueError(f"class {m} has non-positive coefficient {c}")
         lengths = range(power % 2, power + 1, 2)
         for m in lengths:
             if m not in coeffs:
                 raise ValueError(f"class {m} of power {power} is missing")
-        _fill(self, rank, power, [coeffs[m] for m in lengths])
+        _fill(self, rank, power, [coeffs[m] for m in lengths], None)
 
     @classmethod
     def initial(cls, rank: int) -> "RadialDecomposition":
         """G^1 = X_1."""
         return cls(rank, 1, {1: 1})
+
+    @property
+    def _top(self) -> int:
+        """Highest kept class: the power itself unless the list is truncated."""
+        return self.power % 2 + 2 * len(self.classes) - 2
+
+    def _require_whole(self, what: str) -> None:
+        if self._top < self.power:
+            raise ValueError(
+                f"{what} needs every class of G^{self.power}, but classes above "
+                f"{self._top} were dropped past the horizon {self._horizon}"
+            )
 
     @property
     def coeffs(self) -> Mapping[int, int]:
@@ -91,43 +125,78 @@ class RadialDecomposition:
 
     def coefficient(self, length: int) -> int:
         if 0 <= length <= self.power and (self.power - length) % 2 == 0:
+            if length > self._top:
+                raise ValueError(
+                    f"class {length} of G^{self.power} was dropped past the horizon "
+                    f"{self._horizon}"
+                )
             return self.classes[length // 2]
         return 0
 
     def rows(self) -> Iterator[tuple[int, int]]:
-        """(class length, coefficient) pairs, longest class first."""
-        return zip(range(self.power, -1, -2), reversed(self.classes))
+        """(class length, coefficient) pairs, longest kept class first."""
+        return zip(range(self._top, -1, -2), reversed(self.classes))
 
     def mass(self) -> int:
         """Total word count with multiplicity; equals (2N)^power."""
+        self._require_whole("the mass")
         return sum(c * reduced_word_count(m, self.rank) for m, c in self.coeffs.items())
 
     def step(self) -> "RadialDecomposition":
-        """Decomposition of the next power (one more multiplication by X_1)."""
+        """Decomposition of the next power (one more multiplication by X_1).
+
+        Under a horizon H the next power n keeps only the classes
+        m <= H - n; once 2n > H that drops the top class, and with it the
+        top-class-1 check.
+        """
         c = self.classes
+        n = self.power + 1
+        horizon = self._horizon
         down = 2 * self.rank - 1
         # An odd power has classes 1, 3, ..., n; the next one gains the constant class.
         nxt = [(down + 1) * c[0]] if self.power % 2 else []
         nxt += [lo + down * hi for lo, hi in zip(c, c[1:])]
-        nxt.append(c[-1])
-        if nxt[-1] != 1 or min(nxt) <= 0:
-            raise ValueError(f"radial step to power {self.power + 1} broke the invariants")
+        if horizon is None or 2 * n <= horizon:
+            nxt.append(c[-1])
+            broken = nxt[-1] != 1 or min(nxt) <= 0
+        elif not nxt:
+            raise ValueError(f"power {n} is past the horizon {horizon}")
+        else:
+            broken = min(nxt) <= 0
+        if broken:
+            raise ValueError(f"radial step to power {n} broke the invariants")
         d = object.__new__(RadialDecomposition)
-        _fill(d, self.rank, self.power + 1, nxt)
+        _fill(d, self.rank, n, nxt, horizon)
         return d
 
 
-def _fill(d: RadialDecomposition, rank: int, power: int, classes: list[int]) -> None:
+def _fill(
+    d: RadialDecomposition, rank: int, power: int, classes: list[int], horizon: int | None
+) -> None:
     object.__setattr__(d, "rank", rank)
     object.__setattr__(d, "power", power)
     object.__setattr__(d, "classes", classes)
+    object.__setattr__(d, "_horizon", horizon)
 
 
-def iter_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomposition]:
-    """Yield the decompositions of G^1 .. G^max_power in order."""
+def _horizon_for(max_order: int, ring_limit: int = 0) -> int:
+    """The horizon of a constant-only chain to max_order whose powers up
+    to ring_limit are paired with ring expansions; see the module docstring."""
+    return max(max_order + max_order % 2, 2 * ring_limit)
+
+
+def iter_decompositions(
+    rank: int, max_power: int, *, _horizon: int | None = None
+) -> Iterator[RadialDecomposition]:
+    """Yield the decompositions of G^1 .. G^max_power in order.
+
+    ``_horizon`` is private to fpmom: an even H >= max_power truncates
+    each power as the module docstring describes.
+    """
     if max_power < 1:
         raise ValueError(f"max_power must be >= 1, got {max_power}")
     d = RadialDecomposition.initial(rank)
+    object.__setattr__(d, "_horizon", _horizon)
     yield d
     for _ in range(max_power - 1):
         d = d.step()
@@ -138,9 +207,8 @@ def decomposition_of(n: int, rank: int) -> RadialDecomposition:
     """Radial decomposition of G^n."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    d = RadialDecomposition.initial(rank)
-    for _ in range(n - 1):
-        d = d.step()
+    for d in iter_decompositions(rank, n):
+        pass
     return d
 
 
@@ -152,7 +220,9 @@ def scalar_moment(n: int, rank: int) -> int:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if n % 2:
         return 0
-    return decomposition_of(n, rank).coefficient(0)
+    for d in iter_decompositions(rank, n, _horizon=n):
+        pass
+    return d.coefficient(0)
 
 
 def _require_subgroup(rank: int) -> None:
@@ -171,6 +241,7 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     constant class.  Odd powers have no even classes and project to zero.
     """
     _require_subgroup(dec.rank)
+    dec._require_whole("the amalgamated projection")
     coeffs: dict[int, int] = {}
     if dec.power % 2 == 0:
         for k, c in enumerate(dec.classes[:: dec.rank]):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ._version import TOOL_VERSION
 from .laurent import LaurentPolynomial
-from .recurrence import amalgamated_projection, iter_decompositions
+from .recurrence import _horizon_for, amalgamated_projection, iter_decompositions
 
 __all__ = [
     "MomentSeries",
@@ -44,7 +44,7 @@ class MomentSeries:
             raise ValueError("a moment series needs at least order 1")
         for n, value in enumerate(self.values, 1):
             if self.kind == "scalar":
-                if not isinstance(value, int):
+                if not isinstance(value, int) or isinstance(value, bool):
                     raise TypeError(f"scalar value at order {n} must be an int")
                 vanishes = value == 0
             else:
@@ -65,7 +65,9 @@ class MomentSeries:
 
 
 def scalar_series(rank: int, max_order: int) -> MomentSeries:
-    values = tuple(d.coefficient(0) for d in iter_decompositions(rank, max_order))
+    # Only the constant classes are read, so the chain keeps a horizon.
+    chain = iter_decompositions(rank, max_order, _horizon=_horizon_for(max_order))
+    values = tuple(d.coefficient(0) for d in chain)
     return MomentSeries(rank, "scalar", values)
 
 

@@ -407,6 +407,17 @@ GOLDEN_STDOUT = {
         "ffb94caff3e50d6a32de764bf5658c35b39fc1ed685625bf5cf6c0691bf9b3b0",
     "verify --rank 8 --max-order 6":
         "b6b587eec2c65475df2eaa65fdefd8d46a308de9b04b55d291c51aab8cb96698",
+    # recorded before the constant-only chain and walk table kept a horizon;
+    # odd order, a truncated tree leg, truncation after the ring leg, and a
+    # ring limit above half the order (the ring term sets the horizon)
+    "scalar --rank 4 --max-order 301 --format csv":
+        "8c913088dc093d4ecb619a1ee4ec5c1b95322186994edc74e3b47d95d49747ac",
+    "verify --rank 8 --max-order 301 --oracle tree":
+        "24a935dcd4f58ede388eb03d3d7bb8709f0eb36d49d2e9587dc90af9edd968e7",
+    "verify --rank 2 --max-order 21 --ring-max-order 6":
+        "9dd02c04c31c5b7235e9bd4ad84ffe5d564ae29c5fcad9c4d3407b99b5b5e334",
+    "verify --rank 2 --max-order 13 --ring-max-order 8":
+        "fe8ce2b273fbbba3451b9abdd827ece68d5644e3c39b3c79f52e050412d577b6",
 }
 
 

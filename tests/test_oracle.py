@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import fpmom.oracle
+import fpmom.series
 from fpmom.oracle import (
     DiffReport,
     _check_radial,
@@ -10,7 +12,7 @@ from fpmom.oracle import (
     verify,
     walk_counts,
 )
-from fpmom.recurrence import decomposition_of
+from fpmom.recurrence import _horizon_for, decomposition_of
 from fpmom.ring import RingElement, generating_operator, power
 
 
@@ -54,6 +56,51 @@ def test_walk_counts_validation():
         walk_counts(0, 3)
     with pytest.raises(ValueError):
         walk_counts(2, -1)
+    with pytest.raises(ValueError):
+        walk_counts(2, 9, _horizon=8)
+
+
+def test_walk_horizon_keeps_kept_rows_exact():
+    for rank in (1, 2, 3, 4, 8):
+        full = walk_counts(rank, 60).counts
+        for m in range(1, 61):
+            for limit in sorted({0, m // 3, m // 2, m}):
+                horizon = _horizon_for(m, limit)
+                rows = walk_counts(rank, m, _horizon=horizon).counts
+                assert len(rows) == m + 1
+                for s, row in enumerate(rows):
+                    assert row == full[s][: min(s, horizon - s) + 1], (rank, m, limit, s)
+
+
+def test_horizon_halves_the_constant_only_work(monkeypatch):
+    # Cell counts, not timings: at rank 2 and order 200 the scalar chain and
+    # the tree-walk table verify builds each keep about half the triangle.
+    m = 200
+    chain_cells = []
+    tables = []
+    real_chain = fpmom.series.iter_decompositions
+    real_walk = fpmom.oracle.walk_counts
+
+    def counting_chain(*args, **kwargs):
+        for dec in real_chain(*args, **kwargs):
+            chain_cells.append(len(dec.classes))
+            yield dec
+
+    def keeping_walk(*args, **kwargs):
+        tables.append(real_walk(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(fpmom.series, "iter_decompositions", counting_chain)
+    monkeypatch.setattr(fpmom.oracle, "walk_counts", keeping_walk)
+    assert fpmom.series.scalar_series(2, m).value(m) == walk_counts(2, m).returning(m)
+    assert all(r.passed for r in verify(2, m, ring_max_order=0))
+
+    full_chain = sum(n // 2 + 1 for n in range(1, m + 1))
+    assert len(chain_cells) == m
+    assert sum(chain_cells) <= full_chain / 2 + m
+    (table,) = tables
+    full_walk = sum(s + 1 for s in range(m + 1))
+    assert sum(len(row) for row in table.counts) <= full_walk / 2 + m
 
 
 def test_verify_validation():

@@ -4,11 +4,22 @@ from hypothesis import given, settings, strategies as st
 from fpmom.laurent import LaurentPolynomial
 from fpmom.recurrence import (
     RadialDecomposition,
+    _horizon_for,
     amalgamated_moment,
+    amalgamated_projection,
     decomposition_of,
     iter_decompositions,
     scalar_moment,
 )
+
+# (rank, max order M, ring limit) cases of the horizon tests: odd and even M,
+# and ring limits 0, M // 3, M // 2 and M
+HORIZON_CASES = [
+    (rank, m, limit)
+    for rank in (1, 2, 3, 4, 8)
+    for m in range(1, 61)
+    for limit in sorted({0, m // 3, m // 2, m})
+]
 
 
 def test_initial():
@@ -76,6 +87,55 @@ def test_validation():
     with pytest.raises(ValueError):
         decomposition_of(0, 2)
     assert RadialDecomposition(2, 4, {4: 1, 2: 10, 0: 28}) == decomposition_of(4, 2)
+
+
+def test_constructor_rejects_non_int_coefficients():
+    with pytest.raises(TypeError):
+        RadialDecomposition(2, 2, {2: 1, 0: 4.0})
+    with pytest.raises(TypeError):
+        RadialDecomposition(2, 2, {2: True, 0: 4})  # True == 1, but it is a bool
+    with pytest.raises(TypeError):
+        RadialDecomposition(2, 1, {1: 1.0})
+
+
+def test_horizon_keeps_kept_classes_exact():
+    full = {rank: list(iter_decompositions(rank, 60)) for rank in (1, 2, 3, 4, 8)}
+    for rank, m, limit in HORIZON_CASES:
+        horizon = _horizon_for(m, limit)
+        assert horizon % 2 == 0 and horizon >= m
+        for whole, dec in zip(full[rank], iter_decompositions(rank, m, _horizon=horizon)):
+            n = dec.power
+            top = min(n, horizon - n)
+            assert dec.classes == whole.classes[: top // 2 + 1], (rank, m, limit, n)
+            assert dec.coeffs == {k: c for k, c in whole.coeffs.items() if k <= top}
+            assert list(dec.rows()) == [(k, c) for k, c in whole.rows() if k <= top]
+            assert dec.coefficient(n % 2) == whole.coefficient(n % 2)
+            if n <= limit:  # paired with a ring expansion, so whole
+                assert dec == whole and dec.mass() == (2 * rank) ** n
+
+
+def test_truncated_decompositions_refuse_dropped_classes():
+    chain = list(iter_decompositions(2, 10, _horizon=10))
+    d7, d9, d10 = chain[6], chain[8], chain[9]
+    # at power n the horizon 10 keeps the classes m <= 10 - n
+    assert d7.classes == [523, 145] and d7.coeffs == {1: 523, 3: 145}
+    assert list(d7.rows()) == [(3, 145), (1, 523)]
+    assert d7.coefficient(3) == 145 and d7.coefficient(8) == 0
+    assert list(d9.coeffs) == [1]
+    assert d10.classes == [19864]
+    for dec, dropped in ((d7, 5), (d7, 7), (d9, 3), (d10, 2)):
+        with pytest.raises(ValueError):
+            dec.coefficient(dropped)
+        with pytest.raises(ValueError):
+            dec.mass()
+    with pytest.raises(ValueError):
+        amalgamated_projection(d10)
+    with pytest.raises(ValueError):
+        d10.step()  # power 11 is past the horizon
+    # positivity is still checked once the top class is gone
+    d7.classes[0] = -d7.classes[0]
+    with pytest.raises(ValueError):
+        d7.step()
 
 
 def test_step_checks_invariants():

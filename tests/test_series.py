@@ -77,6 +77,14 @@ def test_series_validation():
         scalar_series(2, 4).value(5)
 
 
+def test_scalar_values_reject_bools():
+    # bool is a subclass of int, so a plain isinstance check lets it through
+    with pytest.raises(TypeError):
+        MomentSeries(2, "scalar", (False, True))
+    with pytest.raises(TypeError):
+        MomentSeries(2, "scalar", (0, 4.0))
+
+
 def test_emit_json_shape():
     data = emit(scalar_series(2, 4), "json").decode()
     assert data.startswith('{"rank":2,"kind":"scalar","max_order":4,')
