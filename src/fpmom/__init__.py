@@ -14,7 +14,6 @@ from ._version import TOOL_VERSION as __version__
 from .laurent import LaurentPolynomial
 from .words import (
     Word,
-    enumerate_reduced_words,
     format_word,
     parse_word,
     reduced_word_count,
@@ -25,7 +24,6 @@ from .ring import (
     RingElement,
     SupportCapError,
     conditional_expectation,
-    embed,
     generating_operator,
     iter_powers,
     multiply,
@@ -62,7 +60,6 @@ __all__ = [
     "parse_word",
     "format_word",
     "reduced_word_count",
-    "enumerate_reduced_words",
     "LaurentPolynomial",
     "RingElement",
     "Hyperword",
@@ -74,7 +71,6 @@ __all__ = [
     "radial_sum",
     "generating_operator",
     "conditional_expectation",
-    "embed",
     "RadialDecomposition",
     "iter_decompositions",
     "decomposition_of",

@@ -169,8 +169,9 @@ def verify(
     with one group-ring expansion of the same power, whose trace,
     conditional expectation and per-length coefficients are all checked
     against it.  Raises
-    ``ValueError`` when neither oracle would check any order, or when
-    ``walk_table`` has another rank or fewer than max_order steps.
+    ``ValueError`` for a negative ring_max_order, when neither oracle
+    would check any order, or when ``walk_table`` has another rank or
+    fewer than max_order steps.
 
     Returns ``[scalar, amalgamated, radiality]``, without the amalgamated
     report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
@@ -186,6 +187,8 @@ def verify(
     use_tree = tree or walk_table is not None
     if ring_max_order is None:
         ring_max_order = brute_force_budget(rank)
+    elif ring_max_order < 0:
+        raise ValueError(f"ring_max_order must be >= 0, got {ring_max_order}")
     ring_limit = max(min(ring_max_order, max_order), 0)
     if not use_tree and ring_limit < 1:
         raise ValueError("verify needs the tree oracle or a ring limit >= 1")

@@ -1,10 +1,12 @@
-"""Exact sparse arithmetic in the integer group ring Z[F_N].
+"""Exact sparse products in the integer group ring Z[F_N].
 
 Elements are finite Z-linear combinations of reduced words with Python
 int coefficients, stored as a word -> coefficient map with no zero
 entries.  The module is deliberately brute force: it expands products
 word by word and serves as the ground truth that the fast radial
-recurrence is verified against.
+recurrence is verified against.  Besides the constructor and
+``radial_sum``, elements arise only as products (``multiply``,
+``power``, ``iter_powers``); there is no additive or scalar API.
 
 Terms are keyed by packed words, the ints that ``Word`` itself stores
 (see the ``fpmom.words`` module docstring for the format), so the
@@ -46,7 +48,6 @@ __all__ = [
     "radial_sum",
     "generating_operator",
     "conditional_expectation",
-    "embed",
 ]
 
 DEFAULT_SUPPORT_CAP = 10**8
@@ -100,7 +101,7 @@ class RingElement:
                     raise ValueError(
                         f"word {format_word(w)!r} has rank {w.rank}, element has rank {rank}"
                     )
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError("coefficients must be integers")
                 if c:
                     data[w._packed] = c
@@ -143,10 +144,6 @@ class RingElement:
         """Canonical trace: the coefficient of the identity word."""
         return self._terms.get(0, 0)
 
-    def augmentation(self) -> int:
-        """Sum of all coefficients (evaluation of the trivial representation)."""
-        return sum(self._terms.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -156,48 +153,6 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<RingElement rank={self._rank} support={len(self._terms)}>"
-
-    def _merged(self, other: "RingElement", flip: int) -> "RingElement":
-        if self._rank != other._rank:
-            raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
-        data = dict(self._terms)
-        for w, c in other._terms.items():
-            s = data.get(w, 0) + flip * c
-            if s:
-                data[w] = s
-            else:
-                data.pop(w, None)
-        return _raw(self._rank, data)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self._merged(other, 1)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self._merged(other, -1)
-
-    def __neg__(self) -> "RingElement":
-        return _raw(self._rank, {w: -c for w, c in self._terms.items()})
-
-    def _scaled(self, k: int) -> "RingElement":
-        if k == 0:
-            return _raw(self._rank, {})
-        return _raw(self._rank, {w: k * c for w, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, RingElement):
-            return multiply(self, other)
-        if isinstance(other, int):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other)
-        return NotImplemented
 
     def to_json_dict(self) -> dict:
         """Schema: {"rank": N, "terms": [{"word": ..., "coeff": "<decimal>"}, ...]}.
@@ -374,8 +329,3 @@ def conditional_expectation(x: RingElement, h: Hyperword) -> LaurentPolynomial:
     top = _packed_length(max(terms, default=0), _letter_bits(x.rank)) // len(h)
     exponents = {h.power(e)._packed: e for e in range(-top, top + 1)}
     return LaurentPolynomial({e: terms[w] for w, e in exponents.items() if w in terms})
-
-
-def embed(poly: LaurentPolynomial, h: Hyperword) -> RingElement:
-    """Send exponent k back to the word h**k; a section of the expectation."""
-    return RingElement(h.rank, {h.power(k): c for k, c in poly.items()})

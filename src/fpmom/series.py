@@ -38,8 +38,13 @@ class MomentSeries:
     values: tuple[int | LaurentPolynomial, ...]
 
     def __post_init__(self):
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise TypeError(f"rank must be an int, got {type(self.rank).__name__}")
         if self.kind not in ("scalar", "amalgamated"):
             raise ValueError(f"kind must be 'scalar' or 'amalgamated', got {self.kind!r}")
+        least = 2 if self.kind == "amalgamated" else 1
+        if self.rank < least:
+            raise ValueError(f"{self.kind} series need rank >= {least}, got {self.rank}")
         if not self.values:
             raise ValueError("a moment series needs at least order 1")
         for n, value in enumerate(self.values, 1):

@@ -38,16 +38,14 @@ would print as ``"e"``, which the parser reserves for the identity, so
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "Word",
     "parse_word",
     "format_word",
     "reduced_word_count",
-    "enumerate_reduced_words",
 ]
 
 
@@ -64,7 +62,6 @@ def _packed_length(w: int, k: int) -> int:
     return -(-w.bit_length() // k)
 
 
-@functools.total_ordering
 class Word:
     """An immutable reduced word over the generators of a free group.
 
@@ -75,9 +72,9 @@ class Word:
     >>> Word([1, -1], rank=1).is_identity
     True
 
-    Ordering is by length first, then letter by letter with the positive
-    generator sorting before its inverse (a < A < b < B < aa < ...); this
-    is the order used for serialized output.
+    Words themselves are unordered.  The canonical order is the packed
+    int's (length first, then a < A < b < B < aa < ...), and
+    ``RingElement.to_json_dict`` sorts a support's ints to get it.
     """
 
     __slots__ = ("_packed", "_rank")
@@ -151,28 +148,6 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         return self._rank == other._rank and self._packed == other._packed
-
-    def __lt__(self, other: "Word") -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        if self._rank != other._rank:
-            raise ValueError("cannot order words of different ranks")
-        return self._packed < other._packed
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        if self._rank != other._rank:
-            raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
-        k = _letter_bits(self._rank)
-        u, v = self._packed, other._packed
-        n = _packed_length(v, k)
-        # cancellation happens only at the junction because both factors are reduced
-        while n and u & (1 << k) - 1 == _inverse_digit(v >> k * (n - 1)):
-            u >>= k
-            n -= 1
-            v &= (1 << k * n) - 1
-        return Word._of((u << k * n) | v, self._rank)
 
     def inverse(self) -> "Word":
         k = _letter_bits(self._rank)
@@ -312,13 +287,3 @@ def _level(length: int, rank: int) -> list[int]:
     for _ in range(length):
         level = [(w << k) | d for w in level for d in follow[w & mask]]
     return level
-
-
-def enumerate_reduced_words(length: int, rank: int) -> Iterator[Word]:
-    """Yield every reduced word of exactly the given length, in sorted order."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    for w in _level(length, rank):
-        yield Word._of(w, rank)

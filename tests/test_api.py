@@ -32,9 +32,7 @@ PUBLIC_NAMES = [
     "brute_force_budget",
     "conditional_expectation",
     "decomposition_of",
-    "embed",
     "emit",
-    "enumerate_reduced_words",
     "format_word",
     "generating_operator",
     "iter_decompositions",

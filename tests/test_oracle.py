@@ -14,6 +14,7 @@ from fpmom.oracle import (
 )
 from fpmom.recurrence import _horizon_for, decomposition_of
 from fpmom.ring import RingElement, generating_operator, power
+from fpmom.words import parse_word
 
 
 def test_walk_counts_rank_two():
@@ -118,6 +119,13 @@ def test_verify_validation():
         verify(2, 8, ring_max_order=0, walk_table=walk_counts(2, 6))
 
 
+def test_verify_refuses_negative_ring_limit():
+    # clamping -1 to 0 would drop the ring leg and still pass
+    with pytest.raises(ValueError, match="ring_max_order"):
+        verify(2, 4, ring_max_order=-1)
+    assert len(verify(2, 4, ring_max_order=0)) == 1
+
+
 def test_brute_force_budget_defaults():
     assert brute_force_budget(2) == 12
     assert brute_force_budget(3) == 8
@@ -212,8 +220,7 @@ def test_radiality_check_names_the_odd_word():
     _check_radial(report, 3, g3, dec)
     assert report.passed
     terms = dict(g3.terms)
-    odd = max(terms)  # BBB, the last word in canonical order
-    terms[odd] += 1
+    terms[parse_word("BBB", 2)] += 1
     _check_radial(report, 3, RingElement(2, terms), dec)
     assert [tuple(m) for m in report.mismatches] == [
         ("order 3, length 3: coefficient constancy", "uniform coefficient 1", "2 at BBB")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,18 +11,37 @@ from fpmom.ring import (
     RingElement,
     SupportCapError,
     conditional_expectation,
-    embed,
     generating_operator,
     iter_powers,
     multiply,
     power,
     radial_sum,
 )
-from fpmom.words import Word, enumerate_reduced_words, format_word, parse_word
+from fpmom.words import Word, format_word, parse_word, reduced_word_count
 
 
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+def _combination(*scaled):
+    """The element sum(c * x) over the (c, x) pairs, built from their terms."""
+    total = {}
+    for c, x in scaled:
+        for word, d in x.terms.items():
+            total[word] = total.get(word, 0) + c * d
+    return RingElement(scaled[0][1].rank, total)
+
+
+def _times(u, v):
+    """The product of two words, through multiply of their monomials."""
+    (word,) = multiply(RingElement.monomial(u), RingElement.monomial(v)).terms
+    return word
+
+
+def _augmentation(x):
+    """The sum of the coefficients: the trivial representation."""
+    return sum(x.terms.values())
 
 
 def test_constructor_prunes_and_validates():
@@ -37,6 +57,14 @@ def test_constructor_prunes_and_validates():
         RingElement(0)
 
 
+def test_constructor_rejects_bool_coefficients():
+    # bool is an int subclass; to_json_dict would write "coeff": "True"
+    with pytest.raises(TypeError):
+        RingElement(2, {w("ab"): True})
+    with pytest.raises(TypeError):
+        RingElement.monomial(w("a"), False)
+
+
 def test_zero_one_monomial():
     assert RingElement(2).is_zero
     e = RingElement.one(2)
@@ -45,25 +73,6 @@ def test_zero_one_monomial():
     m = RingElement.monomial(w("ab"), 3)
     assert m.coefficient(w("ab")) == 3
     assert m.rank == 2
-
-
-def test_addition_cancels():
-    x = RingElement(2, {w("a"): 2, w("b"): 1})
-    y = RingElement(2, {w("a"): -2, w("B"): 5})
-    s = x + y
-    assert s.coefficient(w("a")) == 0
-    assert s.support_size == 2
-    assert x - x == RingElement(2)
-    assert -x + x == RingElement(2)
-    with pytest.raises(ValueError):
-        x + RingElement(3)
-
-
-def test_scalar_multiplication():
-    x = RingElement(2, {w("a"): 2})
-    assert (3 * x).coefficient(w("a")) == 6
-    assert (x * -1) == -x
-    assert (0 * x).is_zero
 
 
 def test_radial_sum_sizes():
@@ -87,8 +96,8 @@ def test_length_one_square():
     # X1 * X1 = X2 + 2N e
     for rank in (1, 2, 3):
         x1 = radial_sum(1, rank)
-        expected = radial_sum(2, rank) + 2 * rank * RingElement.one(rank)
-        assert x1 * x1 == expected
+        expected = _combination((1, radial_sum(2, rank)), (2 * rank, RingElement.one(rank)))
+        assert multiply(x1, x1) == expected
 
 
 def test_length_one_against_longer_class():
@@ -96,8 +105,8 @@ def test_length_one_against_longer_class():
     for rank in (1, 2, 3):
         x1 = radial_sum(1, rank)
         for n in (2, 3, 4):
-            lhs = x1 * radial_sum(n, rank)
-            rhs = radial_sum(n + 1, rank) + (2 * rank - 1) * radial_sum(n - 1, rank)
+            lhs = multiply(x1, radial_sum(n, rank))
+            rhs = _combination((1, radial_sum(n + 1, rank)), (2 * rank - 1, radial_sum(n - 1, rank)))
             assert lhs == rhs, (rank, n)
 
 
@@ -106,8 +115,8 @@ def test_small_powers():
     e = RingElement.one(2)
     assert power(g, 0) == e
     assert power(g, 1) == g
-    assert power(g, 2) == radial_sum(2, 2) + 4 * e
-    assert power(g, 3) == radial_sum(3, 2) + 7 * radial_sum(1, 2)
+    assert power(g, 2) == _combination((1, radial_sum(2, 2)), (4, e))
+    assert power(g, 3) == _combination((1, radial_sum(3, 2)), (7, radial_sum(1, 2)))
     with pytest.raises(ValueError):
         power(g, -1)
 
@@ -128,15 +137,15 @@ def test_trace():
 
 def test_augmentation():
     g = generating_operator(2)
-    assert g.augmentation() == 4
-    assert power(g, 3).augmentation() == 64
-    assert RingElement(2).augmentation() == 0
+    assert _augmentation(g) == 4
+    assert _augmentation(power(g, 3)) == 64
+    assert _augmentation(RingElement(2)) == 0
 
 
 def test_augmentation_multiplicative():
     x = RingElement(2, {w("a"): 2, w("bA"): -3, w("e"): 1})
     y = RingElement(2, {w("B"): 5, w("ab"): 1})
-    assert multiply(x, y).augmentation() == x.augmentation() * y.augmentation()
+    assert _augmentation(multiply(x, y)) == _augmentation(x) * _augmentation(y)
 
 
 def test_multiply_rank_mismatch():
@@ -185,7 +194,7 @@ def test_hyperword_validation():
 def test_hyperword_powers_and_exponents():
     h = Hyperword.canonical(2)
     assert h.power(0).is_identity
-    assert h.power(2) == h.word * h.word
+    assert h.power(2) == _times(h.word, h.word)
     assert h.power(-1) == h.word.inverse()
     assert len(h.power(3)) == 12
     assert h.exponent_of(Word.identity(2)) == 0
@@ -204,7 +213,7 @@ def test_hyperword_deep_powers():
         assert len(big) == 4 * 5000
         # a fresh generator builds its own power to compare against
         assert Hyperword.canonical(2).exponent_of(big) == k
-    assert h.power(5000) == h.power(4999) * h.word
+    assert h.power(5000) == _times(h.power(4999), h.word)
     assert h.power(-5000) == h.power(5000).inverse()
 
 
@@ -258,14 +267,20 @@ def test_expectation_of_radial_classes():
             assert got.is_zero, m
 
 
+def _embedded(p, h):
+    """The element with coefficient c at h**k for each term c h^k of p."""
+    return RingElement(h.rank, {h.power(k): c for k, c in p.items()})
+
+
 def test_embed_and_idempotence():
+    # E is left inverse to sending h^k back to the word h**k
     h = Hyperword.canonical(2)
     p = LaurentPolynomial({1: 1, -1: 1, 0: 28})
-    x = embed(p, h)
+    x = _embedded(p, h)
     assert x.support_size == 3
     assert x.trace() == 28
     assert conditional_expectation(x, h) == p
-    assert embed(LaurentPolynomial(), h).is_zero
+    assert _embedded(LaurentPolynomial(), h).is_zero
 
 
 def _decode_element(payload):
@@ -320,12 +335,6 @@ def test_multiplication_associative(x, y, z):
     assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
-@given(elements(), elements(), elements())
-@settings(max_examples=60, deadline=None)
-def test_distributive(x, y, z):
-    assert multiply(x, y + z) == multiply(x, y) + multiply(x, z)
-
-
 @given(elements(), elements())
 @settings(max_examples=60, deadline=None)
 def test_trace_is_tracial(x, y):
@@ -345,7 +354,7 @@ def test_unit_is_neutral(x):
 def test_expectation_idempotent(x):
     h = Hyperword.canonical(_RANK)
     p = conditional_expectation(x, h)
-    assert conditional_expectation(embed(p, h), h) == p
+    assert conditional_expectation(_embedded(p, h), h) == p
 
 
 @given(elements(), st.integers(-2, 2), st.integers(-2, 2))
@@ -364,8 +373,8 @@ def test_expectation_bimodule_shift(x, p, q):
 @given(elements(), elements())
 @settings(max_examples=60, deadline=None)
 def test_augmentation_is_a_homomorphism(x, y):
-    assert multiply(x, y).augmentation() == x.augmentation() * y.augmentation()
-    assert (x + y).augmentation() == x.augmentation() + y.augmentation()
+    # a product that lost or doubled a term would break this
+    assert _augmentation(multiply(x, y)) == _augmentation(x) * _augmentation(y)
 
 
 # ---- packed words and the packed kernel against signed-code references ----
@@ -425,7 +434,6 @@ def test_packed_word_matches_code_references(rank):
     rng = random.Random(4000 + rank)
     raw = [_random_codes(rng, rank, 9) for _ in range(300)] + [[], [rank], [-rank]]
     words = [Word(codes, rank=rank) for codes in raw]
-    assert sorted(words) == sorted(words, key=_order_key)
     for codes, word in zip(raw, words):
         assert word.codes == _reduced(codes)
         assert len(word) == len(word.codes)
@@ -433,7 +441,7 @@ def test_packed_word_matches_code_references(rank):
         assert Word(word.codes, rank=rank) == word
         assert word.inverse().codes == tuple(-c for c in reversed(word.codes))
     for u, v in zip(words, reversed(words)):
-        assert (u * v).codes == _reduced(u.codes + v.codes)
+        assert _times(u, v).codes == _reduced(u.codes + v.codes)
 
 
 @pytest.mark.parametrize("rank", _KERNEL_RANKS)
@@ -493,7 +501,11 @@ def test_packed_expectation_matches_exponent_of(rank):
 
 @pytest.mark.parametrize("rank", (1, 2, 3, 5, 27))
 def test_packed_radial_sum_matches_enumeration(rank):
-    for n in range(4 if rank < 27 else 3):
-        assert dict(radial_sum(n, rank).terms) == dict.fromkeys(
-            enumerate_reduced_words(n, rank), 1
-        )
+    # reference: reduce every letter sequence of length n, keep those that stay length n
+    letters = [c for i in range(1, rank + 1) for c in (i, -i)]
+    for n in range(5 if rank < 27 else 3):
+        reduced = (Word(seq, rank=rank) for seq in itertools.product(letters, repeat=n))
+        terms = radial_sum(n, rank).terms
+        assert set(terms) == {word for word in reduced if len(word) == n}
+        assert set(terms.values()) == {1}
+        assert len(terms) == reduced_word_count(n, rank)

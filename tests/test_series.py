@@ -85,6 +85,16 @@ def test_scalar_values_reject_bools():
         MomentSeries(2, "scalar", (0, 4.0))
 
 
+def test_series_rank_is_checked():
+    with pytest.raises(TypeError):
+        MomentSeries(True, "scalar", (0, 4))  # would emit "rank":true
+    with pytest.raises(ValueError):
+        MomentSeries(-3, "scalar", (0, 4))
+    with pytest.raises(ValueError):
+        MomentSeries(1, "amalgamated", (LaurentPolynomial(),))
+    assert MomentSeries(1, "scalar", (0, 2)).rank == 1
+
+
 def test_emit_json_shape():
     data = emit(scalar_series(2, 4), "json").decode()
     assert data.startswith('{"rank":2,"kind":"scalar","max_order":4,')
