@@ -20,8 +20,8 @@ class LaurentPolynomial:
         data: dict[int, int] = {}
         if coeffs:
             for k, c in coeffs.items():
-                if not isinstance(k, int) or not isinstance(c, int):
-                    raise TypeError("exponents and coefficients must be integers")
+                if type(k) is not int or type(c) is not int:
+                    raise TypeError("exponents and coefficients must be ints")
                 if c:
                     data[k] = c
         self._coeffs = data

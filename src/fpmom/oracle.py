@@ -33,7 +33,9 @@ from .ring import (
     generating_operator,
     iter_powers,
 )
-from .words import Word, _letter_bits, _packed_length, format_word, reduced_word_count
+from .words import (
+    Word, _letter_bits, _packed_length, _require_int, format_word, reduced_word_count
+)
 
 __all__ = [
     "Mismatch",
@@ -112,10 +114,8 @@ def walk_counts(rank: int, max_steps: int, *, _horizon: int | None = None) -> Wa
     distances d <= H - s.  Every kept count is exact, since distance d
     of the next row reads only distances d - 1 and d + 1 <= H - s.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    _require_int("rank", rank, 1)
+    _require_int("max_steps", max_steps, 0)
     if _horizon is not None and _horizon < max_steps:
         raise ValueError(f"horizon {_horizon} is below max_steps {max_steps}")
     two_n = 2 * rank
@@ -177,6 +177,8 @@ def verify(
     report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
     the ring limit is 0.  Each subject names the orders its checks covered.
     """
+    _require_int("rank", rank, 1)
+    _require_int("max_order", max_order, 1)
     if walk_table is not None:
         if walk_table.rank != rank:
             raise ValueError(f"walk table has rank {walk_table.rank}, verify has rank {rank}")
@@ -187,9 +189,9 @@ def verify(
     use_tree = tree or walk_table is not None
     if ring_max_order is None:
         ring_max_order = brute_force_budget(rank)
-    elif ring_max_order < 0:
-        raise ValueError(f"ring_max_order must be >= 0, got {ring_max_order}")
-    ring_limit = max(min(ring_max_order, max_order), 0)
+    else:
+        _require_int("ring_max_order", ring_max_order, 0)
+    ring_limit = min(ring_max_order, max_order)
     if not use_tree and ring_limit < 1:
         raise ValueError("verify needs the tree oracle or a ring limit >= 1")
     covered = max_order if use_tree else ring_limit
@@ -276,8 +278,7 @@ def self_test(rank: int = 2, max_order: int = 8) -> DiffReport:
     The returned report must fail with exactly one mismatch at the
     perturbed order; anything else means the harness itself is broken.
     """
-    if max_order < 2:
-        raise ValueError("self test needs max_order >= 2")
+    _require_int("max_order", max_order, 2)
     table = walk_counts(rank, max_order)
     target = max_order - (max_order % 2)
     table.counts[target][0] += 1

@@ -38,12 +38,11 @@ n, and keeping class n at every power n <= M takes H = 2M, whose bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPolynomial
-from .words import reduced_word_count
+from .words import _require_int, reduced_word_count
 
 __all__ = [
     "RadialDecomposition",
@@ -55,16 +54,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
 class RadialDecomposition:
     """Coefficients of G^power over the radial classes X_m.
 
     ``classes[i]`` is the coefficient of X_m for m = 2i + (power mod 2),
     so the classes present are exactly 0 <= m <= power with
     m = power (mod 2).  Every coefficient is positive and the top class
-    carries coefficient 1.  ``classes`` is the decomposition's own
-    storage and must not be mutated; ``coeffs`` is a read-only
-    class -> coefficient view of it.
+    carries coefficient 1.  ``coeffs`` is a read-only class ->
+    coefficient view of ``classes``.
+
+    Decompositions come only from the chain: ``initial`` gives G^1,
+    ``step`` the next power, and ``iter_decompositions`` walks both, so
+    the class has no public constructor.  It is not frozen; like
+    ``Word``'s int, ``classes`` is the decomposition's own storage and
+    must not be mutated.  Two decompositions are equal when their rank,
+    power and classes are.
 
     A decomposition from a chain with a horizon (see the module
     docstring) may be truncated: ``classes`` then stops at its highest
@@ -73,37 +77,30 @@ class RadialDecomposition:
     for a dropped class.
     """
 
-    rank: int
-    power: int
-    classes: list[int]
+    __slots__ = ("rank", "power", "classes", "_horizon")
 
-    def __init__(self, rank: int, power: int, coeffs: Mapping[int, int]):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        if power < 1:
-            raise ValueError(f"power must be >= 1, got {power}")
-        coeffs = dict(coeffs)
-        if coeffs.get(power) != 1:
-            raise ValueError(f"class {power} must carry coefficient 1")
-        for m, c in coeffs.items():
-            if m < 0 or m > power:
-                raise ValueError(f"class {m} is outside 0..{power}")
-            if (power - m) % 2:
-                raise ValueError(f"class {m} has the wrong parity for power {power}")
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"class {m} has coefficient {c!r}, not an int")
-            if c <= 0:
-                raise ValueError(f"class {m} has non-positive coefficient {c}")
-        lengths = range(power % 2, power + 1, 2)
-        for m in lengths:
-            if m not in coeffs:
-                raise ValueError(f"class {m} of power {power} is missing")
-        _fill(self, rank, power, [coeffs[m] for m in lengths], None)
+    @classmethod
+    def _of(cls, rank: int, power: int, classes: list[int], horizon: int | None):
+        # The one constructor: initial, step and iter_decompositions go through it.
+        d = object.__new__(cls)
+        d.rank, d.power, d.classes, d._horizon = rank, power, classes, horizon
+        return d
 
     @classmethod
     def initial(cls, rank: int) -> "RadialDecomposition":
         """G^1 = X_1."""
-        return cls(rank, 1, {1: 1})
+        _require_int("rank", rank, 1)
+        return cls._of(rank, 1, [1], None)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RadialDecomposition):
+            return NotImplemented
+        return (self.rank, self.power, self.classes) == (other.rank, other.power, other.classes)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RadialDecomposition(rank={self.rank}, power={self.power}, classes={self.classes})"
 
     @property
     def _top(self) -> int:
@@ -165,18 +162,7 @@ class RadialDecomposition:
             broken = min(nxt) <= 0
         if broken:
             raise ValueError(f"radial step to power {n} broke the invariants")
-        d = object.__new__(RadialDecomposition)
-        _fill(d, self.rank, n, nxt, horizon)
-        return d
-
-
-def _fill(
-    d: RadialDecomposition, rank: int, power: int, classes: list[int], horizon: int | None
-) -> None:
-    object.__setattr__(d, "rank", rank)
-    object.__setattr__(d, "power", power)
-    object.__setattr__(d, "classes", classes)
-    object.__setattr__(d, "_horizon", horizon)
+        return RadialDecomposition._of(self.rank, n, nxt, horizon)
 
 
 def _horizon_for(max_order: int, ring_limit: int = 0) -> int:
@@ -193,10 +179,9 @@ def iter_decompositions(
     ``_horizon`` is private to fpmom: an even H >= max_power truncates
     each power as the module docstring describes.
     """
-    if max_power < 1:
-        raise ValueError(f"max_power must be >= 1, got {max_power}")
-    d = RadialDecomposition.initial(rank)
-    object.__setattr__(d, "_horizon", _horizon)
+    _require_int("rank", rank, 1)
+    _require_int("max_power", max_power, 1)
+    d = RadialDecomposition._of(rank, 1, [1], _horizon)
     yield d
     for _ in range(max_power - 1):
         d = d.step()
@@ -205,8 +190,7 @@ def iter_decompositions(
 
 def decomposition_of(n: int, rank: int) -> RadialDecomposition:
     """Radial decomposition of G^n."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+    _require_int("power", n, 1)
     for d in iter_decompositions(rank, n):
         pass
     return d
@@ -214,10 +198,8 @@ def decomposition_of(n: int, rank: int) -> RadialDecomposition:
 
 def scalar_moment(n: int, rank: int) -> int:
     """Trace of G^n: zero for odd n, else the constant radial coefficient."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _require_int("order", n, 1)
+    _require_int("rank", rank, 1)
     if n % 2:
         return 0
     for d in iter_decompositions(rank, n, _horizon=n):
@@ -253,6 +235,5 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
 def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:
     """Moment of G^n over the cyclic subgroup; see ``amalgamated_projection``."""
     _require_subgroup(rank)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    _require_int("order", n, 1)
     return amalgamated_projection(decomposition_of(n, rank))

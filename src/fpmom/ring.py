@@ -32,6 +32,7 @@ from .words import (
     _letter_bits,
     _level,
     _packed_length,
+    _require_int,
     _text_reader,
     format_word,
     reduced_word_count,
@@ -66,10 +67,10 @@ class SupportCapError(RuntimeError):
 
 
 def _effective_cap(support_cap: int | None) -> int:
-    cap = DEFAULT_SUPPORT_CAP if support_cap is None else support_cap
-    if cap < 1:
-        raise ValueError(f"support cap must be >= 1, got {cap}")
-    return cap
+    if support_cap is None:
+        return DEFAULT_SUPPORT_CAP
+    _require_int("support_cap", support_cap, 1)
+    return support_cap
 
 
 def _raw(rank: int, terms: dict[int, int]) -> "RingElement":
@@ -90,8 +91,7 @@ class RingElement:
     __slots__ = ("_rank", "_terms")
 
     def __init__(self, rank: int, terms: Mapping[Word, int] | None = None):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _require_int("rank", rank, 1)
         data: dict[int, int] = {}
         if terms:
             for w, c in terms.items():
@@ -101,8 +101,8 @@ class RingElement:
                     raise ValueError(
                         f"word {format_word(w)!r} has rank {w.rank}, element has rank {rank}"
                     )
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TypeError("coefficients must be integers")
+                if type(c) is not int:
+                    raise TypeError("coefficients must be ints")
                 if c:
                     data[w._packed] = c
         self._rank = rank
@@ -130,10 +130,6 @@ class RingElement:
     @property
     def support_size(self) -> int:
         return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coefficient(self, word: Word) -> int:
         if word.rank != self._rank:
@@ -208,8 +204,7 @@ def multiply(x: RingElement, y: RingElement, support_cap: int | None = None) -> 
 
 def power(x: RingElement, n: int, support_cap: int | None = None) -> RingElement:
     """n-th power by repeated multiplication; x**0 is the ring unit."""
-    if n < 0:
-        raise ValueError(f"power must be >= 0, got {n}")
+    _require_int("n", n, 0)
     result = RingElement.one(x.rank)
     for _ in range(n):
         result = multiply(result, x, support_cap)
@@ -220,6 +215,7 @@ def iter_powers(
     x: RingElement, max_order: int, support_cap: int | None = None
 ) -> Iterator[tuple[int, RingElement]]:
     """Yield (n, x**n) for n = 1..max_order, multiplying cumulatively."""
+    _require_int("max_order", max_order, 0)
     acc = RingElement.one(x.rank)
     for n in range(1, max_order + 1):
         acc = multiply(acc, x, support_cap)
@@ -228,8 +224,8 @@ def iter_powers(
 
 def radial_sum(n: int, rank: int, support_cap: int | None = None) -> RingElement:
     """Sum of all reduced words of length n, each with coefficient 1."""
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
+    _require_int("n", n, 0)
+    _require_int("rank", rank, 1)
     cap = _effective_cap(support_cap)
     needed = reduced_word_count(n, rank)
     if needed > cap:
@@ -266,11 +262,7 @@ class Hyperword:
 
         At rank 1 this degenerates to the identity, so rank >= 2 is required.
         """
-        if rank < 2:
-            raise ValueError(
-                "the canonical subgroup generator degenerates to the identity at rank 1; "
-                "rank >= 2 is required"
-            )
+        _require_int("rank", rank, 2)
         codes = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
         return cls(Word(codes, rank=rank))
 

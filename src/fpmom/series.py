@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from ._version import TOOL_VERSION
 from .laurent import LaurentPolynomial
 from .recurrence import _horizon_for, amalgamated_projection, iter_decompositions
+from .words import _require_int
 
 __all__ = [
     "MomentSeries",
@@ -38,18 +39,14 @@ class MomentSeries:
     values: tuple[int | LaurentPolynomial, ...]
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise TypeError(f"rank must be an int, got {type(self.rank).__name__}")
         if self.kind not in ("scalar", "amalgamated"):
             raise ValueError(f"kind must be 'scalar' or 'amalgamated', got {self.kind!r}")
-        least = 2 if self.kind == "amalgamated" else 1
-        if self.rank < least:
-            raise ValueError(f"{self.kind} series need rank >= {least}, got {self.rank}")
+        _require_int("rank", self.rank, 2 if self.kind == "amalgamated" else 1)
         if not self.values:
             raise ValueError("a moment series needs at least order 1")
         for n, value in enumerate(self.values, 1):
             if self.kind == "scalar":
-                if not isinstance(value, int) or isinstance(value, bool):
+                if type(value) is not int:
                     raise TypeError(f"scalar value at order {n} must be an int")
                 vanishes = value == 0
             else:
@@ -64,12 +61,14 @@ class MomentSeries:
         return len(self.values)
 
     def value(self, order: int) -> int | LaurentPolynomial:
-        if not 1 <= order <= self.max_order:
+        _require_int("order", order, 1)
+        if order > self.max_order:
             raise ValueError(f"order {order} outside 1..{self.max_order}")
         return self.values[order - 1]
 
 
 def scalar_series(rank: int, max_order: int) -> MomentSeries:
+    _require_int("max_order", max_order, 1)
     # Only the constant classes are read, so the chain keeps a horizon.
     chain = iter_decompositions(rank, max_order, _horizon=_horizon_for(max_order))
     values = tuple(d.coefficient(0) for d in chain)
@@ -77,8 +76,8 @@ def scalar_series(rank: int, max_order: int) -> MomentSeries:
 
 
 def amalgamated_series(rank: int, max_order: int) -> MomentSeries:
-    if rank < 2:
-        raise ValueError("amalgamated series need rank >= 2")
+    _require_int("rank", rank, 2)
+    _require_int("max_order", max_order, 1)
     values = tuple(amalgamated_projection(d) for d in iter_decompositions(rank, max_order))
     return MomentSeries(rank, "amalgamated", values)
 

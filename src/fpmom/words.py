@@ -80,13 +80,12 @@ class Word:
     __slots__ = ("_packed", "_rank")
 
     def __init__(self, letters: Iterable[int] = (), *, rank: int):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _require_int("rank", rank, 1)
         k = _letter_bits(rank)
         mask = (1 << k) - 1
         w = 0
         for code in letters:
-            if not isinstance(code, int):
+            if type(code) is not int:
                 raise TypeError(f"letter codes must be int, got {type(code).__name__}")
             if code == 0:
                 raise ValueError("letter code 0 does not name a generator")
@@ -265,12 +264,19 @@ def format_word(w: Word) -> str:
     return _text_reader(w.rank)(w._packed)
 
 
+def _require_int(name: str, value: object, least: int) -> None:
+    """The one int rule of fpmom's public entry points: ``TypeError`` for
+    anything but an int (a bool included), ``ValueError`` below least."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def reduced_word_count(length: int, rank: int) -> int:
     """Number of distinct reduced words of the given length: 2N(2N-1)^(n-1) for n >= 1."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    _require_int("length", length, 0)
+    _require_int("rank", rank, 1)
     if length == 0:
         return 1
     return 2 * rank * (2 * rank - 1) ** (length - 1)

@@ -1,12 +1,15 @@
 """The public surface: package exports, the names the benchmark tracer
-binds, the README quickstart, every docstring example, and the one
-module that owns the packed word format."""
+binds, the README quickstart, every docstring example, the one module
+that owns the packed word format, and the one int rule of the public
+entry points."""
 
 import ast
 import doctest
 import importlib
 import inspect
 import pkgutil
+
+import pytest
 
 import fpmom
 import fpmom.ring
@@ -96,7 +99,7 @@ def test_traced_names_exist():
         cls = getattr(importlib.import_module(f"fpmom.{layer}"), cls_name)
         for attr in attrs:
             assert hasattr(cls, attr), (cls_name, attr)
-    # dataclass fields live on the instances
+    # the tracer reads these attributes off the instances
     assert decomposition_of(3, 2).power == 3
     assert walk_counts(2, 3).counts[3][3] == 4 * 3 * 3
 
@@ -136,6 +139,50 @@ def test_words_owns_the_packed_format():
             }
             assert not defined & PACKED_FORMAT_HELPERS, module.__name__
     assert fpmom.Word.__slots__ == ("_packed", "_rank")
+
+
+# Public calls with a bool or an out-of-range int: each must raise TypeError
+# for the bool, or ValueError naming the caller's own parameter.
+G2 = fpmom.generating_operator(2)
+BAD_INT_CALLS = {
+    "laurent-bool-coefficient": (lambda: fpmom.LaurentPolynomial({0: True}), TypeError, ""),
+    "laurent-bool-exponent": (lambda: fpmom.LaurentPolynomial({True: 3}), TypeError, ""),
+    "radial_sum-bool-rank": (lambda: fpmom.radial_sum(2, True), TypeError, "rank"),
+    "ring-element-bool-rank": (lambda: fpmom.RingElement(True, {}), TypeError, "rank"),
+    "word-bool-letter": (lambda: fpmom.Word([True], rank=2), TypeError, ""),
+    "word-bool-rank": (lambda: fpmom.Word([1], rank=True), TypeError, "rank"),
+    "walk_counts-bool-rank": (lambda: fpmom.walk_counts(True, 3), TypeError, "rank"),
+    "decomposition_of-bool-rank": (lambda: fpmom.decomposition_of(3, True), TypeError, "rank"),
+    "scalar_moment-bool-rank": (lambda: fpmom.scalar_moment(4, True), TypeError, "rank"),
+    "power-bool-exponent": (lambda: fpmom.power(G2, True), TypeError, "n"),
+    "iter_powers-negative": (lambda: list(fpmom.iter_powers(G2, -1)), ValueError, "max_order"),
+    "verify-order-0": (lambda: fpmom.verify(2, 0), ValueError, "max_order"),
+    "scalar_series-order-0": (lambda: fpmom.scalar_series(2, 0), ValueError, "max_order"),
+    "amalgamated_series-order-0": (
+        lambda: fpmom.amalgamated_series(2, 0), ValueError, "max_order"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INT_CALLS)
+def test_bad_int_arguments_are_refused(name):
+    call, error, parameter = BAD_INT_CALLS[name]
+    with pytest.raises(error, match=rf"^{parameter}\b" if parameter else None):
+        call()
+
+
+def test_one_int_rule():
+    # int arguments are checked by fpmom.words._require_int, or inline with
+    # `type(x) is not int`; isinstance(x, int) would let a bool through
+    for module in _modules():
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+                kinds = node.args[1]
+                names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                assert "int" not in map(ast.unparse, names), (module.__name__, node.lineno)
+            if isinstance(node, ast.FunctionDef) and node.name == "_require_int":
+                assert module.__name__ == "fpmom.words", module.__name__
 
 
 def test_readme_quickstart():

@@ -26,6 +26,31 @@ def test_scalar_series_other_ranks():
     assert scalar_series(3, 4).values == (0, 6, 0, 66)
 
 
+def test_scalar_series_matches_kesten():
+    """Kesten's return generating function for the 2N-regular tree
+    (Kesten, "Symmetric random walks on groups", Trans. AMS 1959) gives,
+    with q = 2N - 1 and x = z^2,
+
+        F(x) = 2q / (q - 1 + (q + 1) sqrt(1 - 4qx)).
+
+    Rationalising the denominator gives
+    2((q+1)^2 x - 1) F = (q - 1) - (q + 1) sqrt(1 - 4qx), and since
+    sqrt(1 - 4y) = 1 - 2 sum_k Cat(k-1) y^k, comparing coefficients of x^k
+    yields a_0 = 1 and a_k = (2N)^2 a_(k-1) - 2N Cat(k-1) q^k for the
+    moment a_k = tr(G^2k).  Odd moments vanish.  The chain never uses
+    this closed form, so the two agree only if both are right.
+    """
+    for rank, max_order in ((1, 400), (2, 2000), (3, 400), (5, 400), (8, 400)):
+        two_n, q = 2 * rank, 2 * rank - 1
+        expected = []
+        a = catalan = 1  # a_(k-1) and Cat(k-1)
+        for k in range(1, max_order // 2 + 1):
+            a = two_n * two_n * a - two_n * catalan * q**k
+            catalan = catalan * 2 * (2 * k - 1) // (k + 1)
+            expected += [0, a]
+        assert scalar_series(rank, max_order).values == tuple(expected), rank
+
+
 def test_amalgamated_series_rank_two():
     s = amalgamated_series(2, 4)
     assert s.kind == "amalgamated"
