@@ -279,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact moments outgrow the interpreter's 4300-digit limit on int -> str;
+    # lift it for this run only, since callers may run main in-process.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         _check_output(args)
         return args.func(args)
@@ -288,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     except SupportCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -8,22 +8,26 @@ Two oracles with different failure modes back the engine:
   reduced length, so walks returning to the root count exactly the
   identity terms of G^n.
 
-``verify`` walks one chain of radial decompositions and expands each
-power of G at most once, checking its trace, its conditional
-expectation and its radiality from that single expansion.  It returns
-one :class:`DiffReport` per check; ``self_test`` injects a deliberate
+``verify`` checks the scalar moments of the P-recurrence (see
+``fpmom.recurrence``) against both oracles.  Up to the ring limit it
+walks one chain of radial decompositions and expands each power of G
+once, checking its trace, its conditional expectation and its radiality
+from that single expansion; the radiality check also compares each of
+those powers with the row recurrence.  It returns one
+:class:`DiffReport` per check; ``self_test`` injects a deliberate
 fault to prove that disagreements are actually detected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .recurrence import (
     RadialDecomposition,
-    _horizon_for,
+    _scalar_moments,
     amalgamated_projection,
+    decomposition_of,
     iter_decompositions,
 )
 from .ring import (
@@ -87,8 +91,8 @@ class DiffReport:
 class WalkTable:
     """counts[s][d]: walks of length s from the root ending at distance d.
 
-    A table built under a horizon H holds only the distances d <= H - s
-    in row s (see ``walk_counts``).
+    A table built under a horizon H holds only the distances
+    d <= min(s, H - s) in row s (see ``walk_counts``).
     """
 
     rank: int
@@ -104,33 +108,44 @@ def walk_counts(rank: int, max_steps: int, *, _horizon: int | None = None) -> Wa
     """Count walks on the 2N-regular tree by length and end distance.
 
     From the root all 2N edges lead outward; from any other vertex one
-    edge leads inward and 2N-1 lead outward.  Row sums are (2N)^s.
+    edge leads inward and 2N-1 lead outward.  Row sums are (2N)^s.  A
+    walk of length s ends at a distance of the parity of s, so each row
+    is computed over those distances only and spread into ``counts[s]``,
+    whose other cells are 0.
 
     ``_horizon`` is private to fpmom.  Each step moves one edge, so a
-    walk at distance d after s steps can be back at the root after M
-    steps only when d <= M - s.  ``verify`` reads only the returning
-    counts, so it passes the horizon H of its radial chain (even and
-    >= max_steps, see ``fpmom.recurrence``) and row s keeps only the
-    distances d <= H - s.  Every kept count is exact, since distance d
-    of the next row reads only distances d - 1 and d + 1 <= H - s.
+    walk at distance d after s steps can be back at the root after H
+    steps only when d <= H - s.  ``verify`` reads only the returning
+    counts, so it passes its max order as H >= max_steps and row s keeps
+    only the distances d <= H - s.  Every kept count is exact, since
+    distance d of the next row reads only distances d - 1 and
+    d + 1 <= H - s.
     """
     _require_int("rank", rank, 1)
     _require_int("max_steps", max_steps, 0)
-    if _horizon is not None and _horizon < max_steps:
+    if _horizon is None:
+        _horizon = 2 * max_steps  # keeps every row whole
+    elif _horizon < max_steps:
         raise ValueError(f"horizon {_horizon} is below max_steps {max_steps}")
-    two_n = 2 * rank
+    q = 2 * rank - 1
+    dense = [1]  # row s at the distances s mod 2, s mod 2 + 2, ...
     rows = [[1]]
-    for s in range(max_steps):
-        prev = rows[-1]
-        cur = [0] * (len(prev) + 1)
-        for d, c in enumerate(prev):
-            if c:
-                cur[d + 1] += c * (two_n if d == 0 else two_n - 1)
-                if d:
-                    cur[d - 1] += c
-        if _horizon is not None:
-            del cur[_horizon - s:]  # row s + 1 keeps d <= H - (s + 1)
-        rows.append(cur)
+    for s in range(1, max_steps + 1):
+        parity = s % 2
+        if parity:
+            # distance 2i + 1 reads 2i outward and 2i + 2 inward; the root
+            # has 2N = q + 1 edges out
+            first = dense[0]
+            dense = [q * out + back for out, back in zip(dense, dense[1:] + [0])]
+            dense[0] += first
+        else:
+            # distance 2i reads 2i - 1 outward and 2i + 1 inward
+            dense = [q * out + back for out, back in zip([0] + dense, dense + [0])]
+        top = min(s, _horizon - s)
+        del dense[(top - parity) // 2 + 1:]
+        row = [0] * (top + 1)
+        row[parity::2] = dense
+        rows.append(row)
     return WalkTable(rank, max_steps, rows)
 
 
@@ -162,16 +177,17 @@ def verify(
 ) -> list[DiffReport]:
     """Check the recurrence against the tree walk and ring oracles in one pass.
 
-    One chain of decompositions G^1, G^2, ... is walked, to max_order
-    (the tree oracle's reach) or, with the tree oracle off, to the ring
-    limit: ring_max_order, or by default ``brute_force_budget(rank)``,
-    capped at max_order.  Up to that limit each decomposition is paired
-    with one group-ring expansion of the same power, whose trace,
+    The scalar moments tr(G^n) come from the P-recurrence of
+    ``fpmom.recurrence``.  The tree oracle checks them to max_order.  Up
+    to the ring limit (ring_max_order, or by default
+    ``brute_force_budget(rank)``, capped at max_order) one chain of
+    decompositions G^1, G^2, ... is walked, and each decomposition is
+    paired with one group-ring expansion of the same power, whose trace,
     conditional expectation and per-length coefficients are all checked
-    against it.  Raises
-    ``ValueError`` for a negative ring_max_order, when neither oracle
-    would check any order, or when ``walk_table`` has another rank or
-    fewer than max_order steps.
+    against it; its classes are also checked against the row recurrence.
+    Raises ``ValueError`` for a negative ring_max_order, when neither
+    oracle would check any order, or when ``walk_table`` has another rank
+    or fewer than max_order steps.
 
     Returns ``[scalar, amalgamated, radiality]``, without the amalgamated
     report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
@@ -195,9 +211,6 @@ def verify(
     if not use_tree and ring_limit < 1:
         raise ValueError("verify needs the tree oracle or a ring limit >= 1")
     covered = max_order if use_tree else ring_limit
-    # Past the ring limit only the constant classes are read (module docstring
-    # of fpmom.recurrence); the horizon keeps every ring-paired power whole.
-    horizon = _horizon_for(covered, ring_limit)
     scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
     reports = [scalar]
     powers = amalgamated = radiality = None
@@ -213,27 +226,26 @@ def verify(
         radiality = DiffReport(f"radiality of powers (rank {rank}, orders 1..{ring_limit})")
         reports.append(radiality)
 
-    constants = []
+    constants = _scalar_moments(rank, covered)
     traces = []
-    for dec in iter_decompositions(rank, covered, _horizon=horizon):
-        constants.append(dec.coefficient(0))
-        if dec.power > ring_limit:
-            continue
-        n, gn = next(powers)
-        traces.append(gn.trace())
-        if amalgamated is not None:
-            expected = conditional_expectation(gn, h)
-            actual = amalgamated_projection(dec)
-            if expected != actual:
-                amalgamated.record(f"order {n}: conditional expectation", expected, actual)
-        _check_radial(radiality, n, gn, dec)
+    if ring_limit:
+        for dec, (n, gn) in zip(iter_decompositions(rank, ring_limit), powers):
+            traces.append(gn.trace())
+            if amalgamated is not None:
+                expected = conditional_expectation(gn, h)
+                actual = amalgamated_projection(dec)
+                if expected != actual:
+                    amalgamated.record(f"order {n}: conditional expectation", expected, actual)
+            _check_radial(radiality, n, gn, dec)
+            _record_classes(
+                radiality, n, "row recurrence", dec.coeffs, decomposition_of(n, rank).coeffs
+            )
 
-    # The scalar report lists tree-walk mismatches before group-ring ones,
-    # so both scalar comparisons run after the chain.
+    # The scalar report lists tree-walk mismatches before group-ring ones.
     if use_tree:
         table = walk_table
         if table is None:
-            table = walk_counts(rank, max_order, _horizon=horizon)
+            table = walk_counts(rank, max_order, _horizon=max_order)
         for n, actual in enumerate(constants, 1):
             expected = table.returning(n)
             if expected != actual:
@@ -264,12 +276,16 @@ def _check_radial(
                 f"{c} at {format_word(Word._of(w, gn.rank))}",
             )
             return
-    if by_length != dict(dec.coeffs):
-        for m in sorted(set(by_length) | set(dec.coeffs), reverse=True):
-            got = by_length.get(m, 0)
-            want = dec.coefficient(m)
-            if got != want:
-                report.record(f"order {n}, length {m}: radial coefficient", want, got)
+    _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
+
+
+def _record_classes(
+    report: DiffReport, n: int, check: str, want: Mapping[int, int], got: Mapping[int, int]
+) -> None:
+    """Record every length, longest first, where two class -> coefficient maps differ."""
+    for m in sorted(want.keys() | got.keys(), reverse=True):
+        if want.get(m, 0) != got.get(m, 0):
+            report.record(f"order {n}, length {m}: {check}", want.get(m, 0), got.get(m, 0))
 
 
 def self_test(rank: int = 2, max_order: int = 8) -> DiffReport:

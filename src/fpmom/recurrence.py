@@ -14,26 +14,63 @@ indexed by m // 2.  One multiplication by X_1 is one pass over that list:
 
     c'_m = c_(m-1) + (2N-1) c_(m+1)   for m >= 1,     c'_0 = 2N c_1.
 
-Everything else is a projection of the one chain G^1, G^2, ... that
-``iter_decompositions`` walks.  The scalar moment tr(G^n) is the
-constant class.  The moment over the cyclic subgroup generated by the
-length-2N product of all generators and their inverses reads off the
-classes whose length is a multiple of 2N (``amalgamated_projection``).
-No word expansion is ever needed.
+The chain G^1, G^2, ... that ``iter_decompositions`` walks serves the
+amalgamated series, which reads every class of every power, and the
+powers ``verify`` pairs with group-ring expansions.  The moment over the
+cyclic subgroup generated by the length-2N product of all generators and
+their inverses reads off the classes whose length is a multiple of 2N
+(``amalgamated_projection``).  No word expansion is ever needed.
 
-A step moves each class by one, so class m of G^n can reach the
-constant class of G^M only when m <= M - n.  A chain that only needs
-constant classes up to order M is therefore walked under a private
-horizon H >= M: at power n it keeps just the classes m <= H - n.  Every
-kept coefficient is still exact, since class m of the next power reads
-only classes m - 1 and m + 1 <= H - n.  H is even, so the top kept class
-is exactly H - n (which has the parity of n) and no list is ever empty
-up to power H; a power n with 2n <= H is kept whole.  The scalar series
-and ``verify`` use H = max(M rounded up to even, 2 * ring limit), so the
-powers the ring oracle expands stay whole.  The amalgamated series and
-``xdecomp`` cannot use a horizon: at power n they read every class up to
-n, and keeping class n at every power n <= M takes H = 2M, whose bound
-2M - n >= n keeps every list whole.
+A path that needs one power or only the constant classes does not walk
+the chain.  Write q = 2N - 1 and c_m(n) for the coefficient of X_m in
+G^n.  ``decomposition_of`` builds G^n in O(n) operations by the row
+recurrence, for m = n - 4, n - 6, ... down to n mod 2,
+
+    (m+3)(n-m) c_m = 2[(N-1)m^2 + N mn + (5N-4)m + (N+1)n + 2q] c_(m+2)
+                     - q(m+1)(m+n+4) c_(m+4),
+
+from c_n = 1 and c_(n-2) = 2N + (n-2)q.  The scalar moments
+a_k = tr(G^2k) come from the P-recurrence, for k >= 2,
+
+    k a_k = (((2N)^2 + 4q)k - 6q) a_(k-1) - (2N)^2 q (4k-6) a_(k-2),
+
+from a_0 = 1 and a_1 = 2N: O(1) big-int operations per order.  Both
+check that every division is exact and every value positive, as
+``step`` checks its own invariants.
+
+Why both hold.  c_m(n) counts the walks of length n on the 2N-regular
+tree from the root to one fixed vertex at distance m.  Let C be the
+Catalan series and F(z) = z C(qz^2), so F = z + qzF^2: one step away
+from the root followed by a walk that never steps back.  First returns
+give W_0 = 1/(1 - 2NzF) for the walks back to the root, and cutting a
+walk at its last visit to each vertex of the geodesic gives
+sum_n c_m(n) z^n = W_0 F^m.  So sum_(n,m) c_m(n) z^n u^m = W_0/(1 - uF)
+is algebraic, hence D-finite in z and u (Lipshitz, "D-finite
+power series", J. Algebra 1989), and W_0 alone is D-finite in z
+(Stanley, "Differentiably finite power series", 1980): recurrences with
+polynomial coefficients exist in each index.  Here they are explicit.
+
+* Row recurrence.  Put t = F, so z = t/(1 + qt^2) and, since
+  q - 2N = -1, W_0 = (1 + qt^2)/(1 - t^2).  Lagrange inversion,
+  [z^n] H(F) = [t^n] H(t) phi^(n-1) (phi - t phi') with phi = 1 + qt^2,
+  gives c_m(n) = [t^(n-m)] (1 + qt^2)^n (1 - qt^2)/(1 - t^2), that is,
+  with j = (n - m)/2, the ballot sum
+  c_m(n) = sum_(i<=j) d_i,  d_i = q^i (binom(n, i) - binom(n, i-1)).
+  The summand is hypergeometric in i: d_j/d_(j-1) =
+  q(m+1)(m+n+4)/((m+3)(n-m)).  So consecutive differences of the row obey
+  (m+3)(n-m)(c_m - c_(m+2)) = q(m+1)(m+n+4)(c_(m+2) - c_(m+4)), the
+  first-order case of creative telescoping (Petkovsek, Wilf and
+  Zeilberger, "A = B", 1996); expanding it gives the three-term form
+  above, and m = n - 2 with c_(n+2) = 0 gives the start value.  The
+  pass runs in the difference form: one small multiplier and one exact
+  division per class.
+* P-recurrence.  With s = sqrt(1 - 4qx), x = z^2, zF = (1 - s)/(2q) and
+  W_0 = 2q/(q - 1 + (q+1)s), which is Kesten's return generating function
+  (Kesten, "Symmetric random walks on groups", Trans. AMS 1959).
+  Rationalising, V = 2(1 - (2N)^2 x) W_0 + q - 1 = (q+1)s, and
+  (1 - 4qx) s' = -2qs gives the first-order equation
+  (1 - 4qx)V' + 2qV = 0.  Substituting V and reading off the coefficient
+  of x^(k-1) for k >= 2 gives the P-recurrence.
 """
 
 from __future__ import annotations
@@ -63,34 +100,30 @@ class RadialDecomposition:
     carries coefficient 1.  ``coeffs`` is a read-only class ->
     coefficient view of ``classes``.
 
-    Decompositions come only from the chain: ``initial`` gives G^1,
-    ``step`` the next power, and ``iter_decompositions`` walks both, so
-    the class has no public constructor.  It is not frozen; like
-    ``Word``'s int, ``classes`` is the decomposition's own storage and
-    must not be mutated.  Two decompositions are equal when their rank,
-    power and classes are.
-
-    A decomposition from a chain with a horizon (see the module
-    docstring) may be truncated: ``classes`` then stops at its highest
-    kept class, ``coeffs`` and ``rows`` cover only the kept classes, and
-    ``coefficient`` and ``mass`` raise ``ValueError`` rather than answer
-    for a dropped class.
+    Decompositions come only from the engine: ``initial`` gives G^1,
+    ``step`` the next power, ``iter_decompositions`` walks both, and
+    ``decomposition_of`` runs the row recurrence, so the class has no
+    public constructor.  It is not frozen; like ``Word``'s int,
+    ``classes`` is the decomposition's own storage and must not be
+    mutated.  Two decompositions are equal when their rank, power and
+    classes are.
     """
 
-    __slots__ = ("rank", "power", "classes", "_horizon")
+    __slots__ = ("rank", "power", "classes")
 
     @classmethod
-    def _of(cls, rank: int, power: int, classes: list[int], horizon: int | None):
-        # The one constructor: initial, step and iter_decompositions go through it.
+    def _of(cls, rank: int, power: int, classes: list[int]):
+        # The one constructor: initial, step, iter_decompositions and
+        # decomposition_of go through it.
         d = object.__new__(cls)
-        d.rank, d.power, d.classes, d._horizon = rank, power, classes, horizon
+        d.rank, d.power, d.classes = rank, power, classes
         return d
 
     @classmethod
     def initial(cls, rank: int) -> "RadialDecomposition":
         """G^1 = X_1."""
         _require_int("rank", rank, 1)
-        return cls._of(rank, 1, [1], None)
+        return cls._of(rank, 1, [1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RadialDecomposition):
@@ -103,18 +136,6 @@ class RadialDecomposition:
         return f"RadialDecomposition(rank={self.rank}, power={self.power}, classes={self.classes})"
 
     @property
-    def _top(self) -> int:
-        """Highest kept class: the power itself unless the list is truncated."""
-        return self.power % 2 + 2 * len(self.classes) - 2
-
-    def _require_whole(self, what: str) -> None:
-        if self._top < self.power:
-            raise ValueError(
-                f"{what} needs every class of G^{self.power}, but classes above "
-                f"{self._top} were dropped past the horizon {self._horizon}"
-            )
-
-    @property
     def coeffs(self) -> Mapping[int, int]:
         """Class length -> coefficient, built from ``classes`` on request."""
         parity = self.power % 2
@@ -122,89 +143,89 @@ class RadialDecomposition:
 
     def coefficient(self, length: int) -> int:
         if 0 <= length <= self.power and (self.power - length) % 2 == 0:
-            if length > self._top:
-                raise ValueError(
-                    f"class {length} of G^{self.power} was dropped past the horizon "
-                    f"{self._horizon}"
-                )
             return self.classes[length // 2]
         return 0
 
     def rows(self) -> Iterator[tuple[int, int]]:
-        """(class length, coefficient) pairs, longest kept class first."""
-        return zip(range(self._top, -1, -2), reversed(self.classes))
+        """(class length, coefficient) pairs, longest class first."""
+        return zip(range(self.power, -1, -2), reversed(self.classes))
 
     def mass(self) -> int:
         """Total word count with multiplicity; equals (2N)^power."""
-        self._require_whole("the mass")
         return sum(c * reduced_word_count(m, self.rank) for m, c in self.coeffs.items())
 
     def step(self) -> "RadialDecomposition":
-        """Decomposition of the next power (one more multiplication by X_1).
-
-        Under a horizon H the next power n keeps only the classes
-        m <= H - n; once 2n > H that drops the top class, and with it the
-        top-class-1 check.
-        """
+        """Decomposition of the next power (one more multiplication by X_1)."""
         c = self.classes
         n = self.power + 1
-        horizon = self._horizon
         down = 2 * self.rank - 1
         # An odd power has classes 1, 3, ..., n; the next one gains the constant class.
         nxt = [(down + 1) * c[0]] if self.power % 2 else []
         nxt += [lo + down * hi for lo, hi in zip(c, c[1:])]
-        if horizon is None or 2 * n <= horizon:
-            nxt.append(c[-1])
-            broken = nxt[-1] != 1 or min(nxt) <= 0
-        elif not nxt:
-            raise ValueError(f"power {n} is past the horizon {horizon}")
-        else:
-            broken = min(nxt) <= 0
-        if broken:
+        nxt.append(c[-1])
+        if nxt[-1] != 1 or min(nxt) <= 0:
             raise ValueError(f"radial step to power {n} broke the invariants")
-        return RadialDecomposition._of(self.rank, n, nxt, horizon)
+        return RadialDecomposition._of(self.rank, n, nxt)
 
 
-def _horizon_for(max_order: int, ring_limit: int = 0) -> int:
-    """The horizon of a constant-only chain to max_order whose powers up
-    to ring_limit are paired with ring expansions; see the module docstring."""
-    return max(max_order + max_order % 2, 2 * ring_limit)
-
-
-def iter_decompositions(
-    rank: int, max_power: int, *, _horizon: int | None = None
-) -> Iterator[RadialDecomposition]:
-    """Yield the decompositions of G^1 .. G^max_power in order.
-
-    ``_horizon`` is private to fpmom: an even H >= max_power truncates
-    each power as the module docstring describes.
-    """
+def iter_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomposition]:
+    """Yield the decompositions of G^1 .. G^max_power in order."""
     _require_int("rank", rank, 1)
     _require_int("max_power", max_power, 1)
-    d = RadialDecomposition._of(rank, 1, [1], _horizon)
+    d = RadialDecomposition._of(rank, 1, [1])
     yield d
     for _ in range(max_power - 1):
         d = d.step()
         yield d
 
 
+def _radial_row(n: int, rank: int) -> list[int]:
+    """``classes`` of G^n by one downward pass of the row recurrence
+    (module docstring), in its difference form."""
+    if n == 1:
+        return [1]
+    q = 2 * rank - 1
+    row = [1, 2 * rank + (n - 2) * q]  # c_n, c_(n-2), c_(n-4), ...
+    diff = row[1] - 1  # c_(m+2) - c_(m+4)
+    for m in range(n - 4, -1, -2):
+        diff, rest = divmod(q * (m + 1) * (m + n + 4) * diff, (m + 3) * (n - m))
+        c = row[-1] + diff
+        if rest or c <= 0:
+            raise ValueError(f"row recurrence for G^{n} broke at class {m}")
+        row.append(c)
+    row.reverse()
+    return row
+
+
 def decomposition_of(n: int, rank: int) -> RadialDecomposition:
-    """Radial decomposition of G^n."""
+    """Radial decomposition of G^n, from the row recurrence; no chain is walked."""
     _require_int("power", n, 1)
-    for d in iter_decompositions(rank, n):
-        pass
-    return d
+    _require_int("rank", rank, 1)
+    return RadialDecomposition._of(rank, n, _radial_row(n, rank))
+
+
+def _scalar_moments(rank: int, max_order: int) -> list[int]:
+    """tr(G^1), ..., tr(G^max_order) by the P-recurrence (module docstring)."""
+    two_n, q = 2 * rank, 2 * rank - 1
+    k2 = two_n * two_n
+    moments = [0] * max_order
+    if max_order >= 2:
+        moments[1] = two_n
+    before, last = 1, two_n  # a_(k-2), a_(k-1)
+    for k in range(2, max_order // 2 + 1):
+        a, rest = divmod(((k2 + 4 * q) * k - 6 * q) * last - k2 * q * (4 * k - 6) * before, k)
+        if rest or a <= 0:
+            raise ValueError(f"P-recurrence broke at order {2 * k}")
+        moments[2 * k - 1] = a
+        before, last = last, a
+    return moments
 
 
 def scalar_moment(n: int, rank: int) -> int:
-    """Trace of G^n: zero for odd n, else the constant radial coefficient."""
+    """Trace of G^n: zero for odd n, else a_(n/2) of the P-recurrence."""
     _require_int("order", n, 1)
     _require_int("rank", rank, 1)
-    if n % 2:
-        return 0
-    for d in iter_decompositions(rank, n, _horizon=n):
-        pass
-    return d.coefficient(0)
+    return _scalar_moments(rank, n)[-1]
 
 
 def _require_subgroup(rank: int) -> None:
@@ -223,7 +244,6 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     constant class.  Odd powers have no even classes and project to zero.
     """
     _require_subgroup(dec.rank)
-    dec._require_whole("the amalgamated projection")
     coeffs: dict[int, int] = {}
     if dec.power % 2 == 0:
         for k, c in enumerate(dec.classes[:: dec.rank]):
@@ -234,6 +254,7 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
 
 def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:
     """Moment of G^n over the cyclic subgroup; see ``amalgamated_projection``."""
+    _require_int("rank", rank, 1)
     _require_subgroup(rank)
     _require_int("order", n, 1)
     return amalgamated_projection(decomposition_of(n, rank))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ._version import TOOL_VERSION
 from .laurent import LaurentPolynomial
-from .recurrence import _horizon_for, amalgamated_projection, iter_decompositions
+from .recurrence import _scalar_moments, amalgamated_projection, iter_decompositions
 from .words import _require_int
 
 __all__ = [
@@ -68,11 +68,10 @@ class MomentSeries:
 
 
 def scalar_series(rank: int, max_order: int) -> MomentSeries:
+    """tr(G^n) for n = 1..max_order, from the P-recurrence of ``fpmom.recurrence``."""
+    _require_int("rank", rank, 1)
     _require_int("max_order", max_order, 1)
-    # Only the constant classes are read, so the chain keeps a horizon.
-    chain = iter_decompositions(rank, max_order, _horizon=_horizon_for(max_order))
-    values = tuple(d.coefficient(0) for d in chain)
-    return MomentSeries(rank, "scalar", values)
+    return MomentSeries(rank, "scalar", tuple(_scalar_moments(rank, max_order)))
 
 
 def amalgamated_series(rank: int, max_order: int) -> MomentSeries:

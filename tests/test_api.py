@@ -154,6 +154,11 @@ BAD_INT_CALLS = {
     "walk_counts-bool-rank": (lambda: fpmom.walk_counts(True, 3), TypeError, "rank"),
     "decomposition_of-bool-rank": (lambda: fpmom.decomposition_of(3, True), TypeError, "rank"),
     "scalar_moment-bool-rank": (lambda: fpmom.scalar_moment(4, True), TypeError, "rank"),
+    "scalar_series-bool-rank": (lambda: fpmom.scalar_series(True, 4), TypeError, "rank"),
+    "scalar_series-rank-0": (lambda: fpmom.scalar_series(0, 4), ValueError, "rank"),
+    "amalgamated_moment-bool-rank": (
+        lambda: fpmom.amalgamated_moment(4, True), TypeError, "rank"
+    ),
     "power-bool-exponent": (lambda: fpmom.power(G2, True), TypeError, "n"),
     "iter_powers-negative": (lambda: list(fpmom.iter_powers(G2, -1)), ValueError, "max_order"),
     "verify-order-0": (lambda: fpmom.verify(2, 0), ValueError, "max_order"),

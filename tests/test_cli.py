@@ -313,6 +313,69 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def _kesten(rank, k_max):
+    """a_0..a_k_max of a_k = tr(G^2k) by Kesten's first-return recurrence,
+    a_k = (2N)^2 a_(k-1) - 2N Cat(k-1) q^k (see tests/test_series.py)."""
+    two_n, q = 2 * rank, 2 * rank - 1
+    values = [1]
+    catalan = 1  # Cat(k-1)
+    for k in range(1, k_max + 1):
+        values.append(two_n * two_n * values[-1] - two_n * catalan * q**k)
+        catalan = catalan * 2 * (2 * k - 1) // (k + 1)
+    return values
+
+
+@pytest.fixture
+def digit_limit():
+    """Run with the interpreter's default int -> str limit of 4300 digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def _run_past_digit_limit(capsys, limit, *argv):
+    """Run the CLI in-process, check the digit limit is back, and return stdout
+    together with a parser that reads ints past the limit."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+
+    def big_int(text):
+        sys.set_int_max_str_digits(0)
+        try:
+            return int(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return out, big_int
+
+
+@pytest.mark.parametrize("rank,max_order", [(30, 3700), (2, 8200)])
+def test_scalar_values_past_the_digit_limit(capsys, digit_limit, rank, max_order):
+    # tr(G^3700) at rank 30 and tr(G^8200) at rank 2 have over 4300 digits
+    out, big_int = _run_past_digit_limit(
+        capsys, digit_limit, "scalar", "--rank", str(rank), "--max-order", str(max_order)
+    )
+    values = [big_int(e["value"]) for e in json.loads(out)["entries"]]
+    assert values[1::2] == _kesten(rank, max_order // 2)[1:]
+    assert not any(values[::2])
+    assert values[-1] >= 10**digit_limit
+
+
+def test_xdecomp_past_the_digit_limit(capsys, digit_limit):
+    out, big_int = _run_past_digit_limit(
+        capsys, digit_limit, "xdecomp", "--rank", "30", "--power", "3700"
+    )
+    lines = out.splitlines()
+    assert lines[0] == "m,coefficient" and lines[1] == "3700,1"
+    rows = [tuple(map(big_int, line.split(","))) for line in lines[1:]]
+    assert [m for m, _ in rows] == list(range(3700, -1, -2))
+    assert rows[-1][1] == _kesten(30, 1850)[-1]
+    mass = sum(c * fpmom.reduced_word_count(m, 30) for m, c in rows)
+    assert mass == 60**3700
+
+
 def _fpmom_process(*argv, timeout=None):
     """Run ``python -m fpmom`` on the copy of fpmom these tests import."""
     src = str(Path(fpmom.__file__).resolve().parent.parent)

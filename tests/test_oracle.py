@@ -3,16 +3,18 @@ import json
 import pytest
 
 import fpmom.oracle
+import fpmom.recurrence
 import fpmom.series
 from fpmom.oracle import (
     DiffReport,
+    Mismatch,
     _check_radial,
     brute_force_budget,
     self_test,
     verify,
     walk_counts,
 )
-from fpmom.recurrence import _horizon_for, decomposition_of
+from fpmom.recurrence import RadialDecomposition, decomposition_of
 from fpmom.ring import RingElement, generating_operator, power
 from fpmom.words import parse_word
 
@@ -62,46 +64,50 @@ def test_walk_counts_validation():
 
 
 def test_walk_horizon_keeps_kept_rows_exact():
+    # row s of a table under horizon H is the whole row cut at min(s, H - s)
     for rank in (1, 2, 3, 4, 8):
-        full = walk_counts(rank, 60).counts
+        full = walk_counts(rank, 120).counts
         for m in range(1, 61):
-            for limit in sorted({0, m // 3, m // 2, m}):
-                horizon = _horizon_for(m, limit)
+            for horizon in sorted({m, m + 1, m + m % 2, 3 * m // 2, 2 * m}):
                 rows = walk_counts(rank, m, _horizon=horizon).counts
                 assert len(rows) == m + 1
                 for s, row in enumerate(rows):
-                    assert row == full[s][: min(s, horizon - s) + 1], (rank, m, limit, s)
+                    assert row == full[s][: min(s, horizon - s) + 1], (rank, m, horizon, s)
 
 
-def test_horizon_halves_the_constant_only_work(monkeypatch):
-    # Cell counts, not timings: at rank 2 and order 200 the scalar chain and
-    # the tree-walk table verify builds each keep about half the triangle.
-    m = 200
-    chain_cells = []
-    tables = []
-    real_chain = fpmom.series.iter_decompositions
-    real_walk = fpmom.oracle.walk_counts
+def test_constant_only_paths_walk_no_chain(monkeypatch):
+    # Step counts, not timings: scalar moments, a single power and a tree-only
+    # verify take no chain step; a ring leg steps the chain to its limit only.
+    steps = []
+    real_step = RadialDecomposition.step
 
-    def counting_chain(*args, **kwargs):
-        for dec in real_chain(*args, **kwargs):
-            chain_cells.append(len(dec.classes))
-            yield dec
+    def counting_step(self):
+        steps.append(self.power + 1)
+        return real_step(self)
 
-    def keeping_walk(*args, **kwargs):
-        tables.append(real_walk(*args, **kwargs))
-        return tables[-1]
-
-    monkeypatch.setattr(fpmom.series, "iter_decompositions", counting_chain)
-    monkeypatch.setattr(fpmom.oracle, "walk_counts", keeping_walk)
+    monkeypatch.setattr(RadialDecomposition, "step", counting_step)
+    m = 500
     assert fpmom.series.scalar_series(2, m).value(m) == walk_counts(2, m).returning(m)
+    assert decomposition_of(m, 2).mass() == 4**m
     assert all(r.passed for r in verify(2, m, ring_max_order=0))
+    assert steps == []
+    assert all(r.passed for r in verify(2, 40, ring_max_order=6))
+    assert steps == [2, 3, 4, 5, 6]
 
-    full_chain = sum(n // 2 + 1 for n in range(1, m + 1))
-    assert len(chain_cells) == m
-    assert sum(chain_cells) <= full_chain / 2 + m
-    (table,) = tables
-    full_walk = sum(s + 1 for s in range(m + 1))
-    assert sum(len(row) for row in table.counts) <= full_walk / 2 + m
+
+def test_radiality_compares_the_chain_with_the_row_recurrence(monkeypatch):
+    real_row = fpmom.recurrence._radial_row
+
+    def wrong_row(n, rank):
+        row = real_row(n, rank)
+        if n == 6:
+            row[0] += 1
+        return row
+
+    monkeypatch.setattr(fpmom.recurrence, "_radial_row", wrong_row)
+    scalar, amalgamated, radiality = verify(2, 8)
+    assert scalar.passed and amalgamated.passed
+    assert radiality.mismatches == [Mismatch("order 6, length 0: row recurrence", "232", "233")]
 
 
 def test_verify_validation():

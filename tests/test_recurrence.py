@@ -1,25 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fpmom.recurrence
 from fpmom.laurent import LaurentPolynomial
 from fpmom.recurrence import (
     RadialDecomposition,
-    _horizon_for,
+    _radial_row,
+    _scalar_moments,
     amalgamated_moment,
-    amalgamated_projection,
     decomposition_of,
     iter_decompositions,
     scalar_moment,
 )
 
-# (rank, max order M, ring limit) cases of the horizon tests: odd and even M,
-# and ring limits 0, M // 3, M // 2 and M
-HORIZON_CASES = [
-    (rank, m, limit)
-    for rank in (1, 2, 3, 4, 8)
-    for m in range(1, 61)
-    for limit in sorted({0, m // 3, m // 2, m})
-]
+# ranks at which the row recurrence and the P-recurrence are pinned to the chain
+ENGINE_RANKS = (1, 2, 3, 5, 8, 30)
 
 
 def test_initial():
@@ -79,44 +74,33 @@ def test_iter_decompositions():
         decomposition_of(0, 2)
 
 
-def test_horizon_keeps_kept_classes_exact():
-    full = {rank: list(iter_decompositions(rank, 60)) for rank in (1, 2, 3, 4, 8)}
-    for rank, m, limit in HORIZON_CASES:
-        horizon = _horizon_for(m, limit)
-        assert horizon % 2 == 0 and horizon >= m
-        for whole, dec in zip(full[rank], iter_decompositions(rank, m, _horizon=horizon)):
-            n = dec.power
-            top = min(n, horizon - n)
-            assert dec.classes == whole.classes[: top // 2 + 1], (rank, m, limit, n)
-            assert dec.coeffs == {k: c for k, c in whole.coeffs.items() if k <= top}
-            assert list(dec.rows()) == [(k, c) for k, c in whole.rows() if k <= top]
-            assert dec.coefficient(n % 2) == whole.coefficient(n % 2)
-            if n <= limit:  # paired with a ring expansion, so whole
-                assert dec == whole and dec.mass() == (2 * rank) ** n
+def test_row_recurrence_matches_the_chain():
+    # every class, m = 0 included, of every power up to 120
+    for rank in ENGINE_RANKS:
+        for whole in iter_decompositions(rank, 120):
+            assert decomposition_of(whole.power, rank) == whole, (rank, whole.power)
 
 
-def test_truncated_decompositions_refuse_dropped_classes():
-    chain = list(iter_decompositions(2, 10, _horizon=10))
-    d7, d9, d10 = chain[6], chain[8], chain[9]
-    # at power n the horizon 10 keeps the classes m <= 10 - n
-    assert d7.classes == [523, 145] and d7.coeffs == {1: 523, 3: 145}
-    assert list(d7.rows()) == [(3, 145), (1, 523)]
-    assert d7.coefficient(3) == 145 and d7.coefficient(8) == 0
-    assert list(d9.coeffs) == [1]
-    assert d10.classes == [19864]
-    for dec, dropped in ((d7, 5), (d7, 7), (d9, 3), (d10, 2)):
-        with pytest.raises(ValueError):
-            dec.coefficient(dropped)
-        with pytest.raises(ValueError):
-            dec.mass()
-    with pytest.raises(ValueError):
-        amalgamated_projection(d10)
-    with pytest.raises(ValueError):
-        d10.step()  # power 11 is past the horizon
-    # positivity is still checked once the top class is gone
-    d7.classes[0] = -d7.classes[0]
-    with pytest.raises(ValueError):
-        d7.step()
+def test_p_recurrence_matches_the_chain():
+    for rank in ENGINE_RANKS:
+        constants = [d.coefficient(0) for d in iter_decompositions(rank, 300)]
+        assert _scalar_moments(rank, 300) == constants, rank
+        assert scalar_moment(300, rank) == constants[-1]
+        assert scalar_moment(299, rank) == 0
+
+
+def test_new_engines_check_exact_division_and_positivity(monkeypatch):
+    # a non-physical rank drives a value to zero or below
+    with pytest.raises(ValueError, match="row recurrence for G\\^4 broke at class 0"):
+        _radial_row(4, 0)
+    with pytest.raises(ValueError, match="P-recurrence broke at order 4"):
+        _scalar_moments(0, 4)
+    # a remainder from any division is refused
+    monkeypatch.setattr(fpmom.recurrence, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(ValueError, match="row recurrence"):
+        decomposition_of(6, 2)
+    with pytest.raises(ValueError, match="P-recurrence"):
+        scalar_moment(6, 2)
 
 
 def test_step_checks_invariants():
