@@ -41,11 +41,10 @@ from .recurrence import (
 from .oracle import (
     DiffReport,
     Mismatch,
-    WalkTable,
     brute_force_budget,
+    returning_walks,
     self_test,
     verify,
-    walk_counts,
 )
 from .series import (
     MomentSeries,
@@ -77,10 +76,9 @@ __all__ = [
     "scalar_moment",
     "amalgamated_moment",
     "amalgamated_projection",
-    "WalkTable",
     "DiffReport",
     "Mismatch",
-    "walk_counts",
+    "returning_walks",
     "brute_force_budget",
     "verify",
     "self_test",

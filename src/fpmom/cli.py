@@ -136,7 +136,7 @@ def cmd_xdecomp(args: argparse.Namespace) -> int:
         print(
             "note: the coefficients at lengths 2 and 0 are 958 and 2092; the values "
             "744 and 1316 seen in some published tables are arithmetic errors (word "
-            "expansion and tree-walk counting both confirm 958 and 2092)",
+            "expansion confirms 958 and 2092, and tree-walk counting confirms 2092)",
             file=sys.stderr,
         )
     return EXIT_OK

@@ -3,25 +3,41 @@
 Two oracles with different failure modes back the engine:
 
 * full group-ring expansion of G^n (exact but exponential in n), and
-* a dynamic program counting walks on the 2N-regular tree, where the
-  distance from the root of a walk reading a word equals the word's
-  reduced length, so walks returning to the root count exactly the
-  identity terms of G^n.
+* a count of the walks on the 2N-regular tree that return to the root.
+  The distance from the root of a walk reading a word equals the word's
+  reduced length, so these walks count exactly the identity terms of G^n.
 
-``verify`` checks the scalar moments of the P-recurrence (see
-``fpmom.recurrence``) against both oracles.  Up to the ring limit it
-walks one chain of radial decompositions and expands each power of G
-once, checking its trace, its conditional expectation and its radiality
-from that single expansion; the radiality check also compares each of
-those powers with the row recurrence.  It returns one
-:class:`DiffReport` per check; ``self_test`` injects a deliberate
-fault to prove that disagreements are actually detected.
+The walks are counted by first returns (Kesten, "Symmetric random walks
+on groups", Trans. AMS 1959).  Write x = z^2, q = 2N - 1 and C = C(qx)
+for the Catalan series at qx, so that C = 1 + qxC^2.  A first return
+steps away from the root (2N ways), makes an excursion that never comes
+back to the root (q ways out of each vertex it reaches, counted by C),
+and steps back: R = 2NxC.  A returning walk is a sequence of first
+returns, W = 1/(1 - R), and C = 1 + qxC^2 with q + 1 = 2N gives
+(1 - 2NqxC)(1 - 2NxC) = 1 - (2N)^2 x, that is,
+
+    W (1 - (2N)^2 x) = 1 - 2Nqx C(qx).
+
+Reading off x^k gives a_k = (2N)^2 a_(k-1) - 2N Cat(k-1) q^k from
+a_0 = 1, where a_k counts the returning walks of length 2k: O(1) big-int
+operations per order (``returning_walks``).  It is a different recurrence
+from the P-recurrence that ``fpmom.recurrence`` derives for the same
+numbers, so the check is not one recurrence written two ways.
+
+``verify`` checks the scalar moments of the P-recurrence against both
+oracles.  Up to the ring limit it walks one chain of radial
+decompositions and expands each power of G once, checking its trace,
+its conditional expectation and its radiality from that single
+expansion; the radiality check also compares each of those powers with
+the row recurrence.  It returns one :class:`DiffReport` per check;
+``self_test`` injects a deliberate fault to prove that disagreements are
+actually detected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .recurrence import (
     RadialDecomposition,
@@ -44,8 +60,7 @@ from .words import (
 __all__ = [
     "Mismatch",
     "DiffReport",
-    "WalkTable",
-    "walk_counts",
+    "returning_walks",
     "brute_force_budget",
     "verify",
     "self_test",
@@ -87,66 +102,38 @@ class DiffReport:
         }
 
 
-@dataclass
-class WalkTable:
-    """counts[s][d]: walks of length s from the root ending at distance d.
+def returning_walks(rank: int, max_steps: int) -> list[int]:
+    """Walks of length s on the 2N-regular tree that start and end at the
+    root, for s = 0..max_steps, counted by first returns.
 
-    A table built under a horizon H holds only the distances
-    d <= min(s, H - s) in row s (see ``walk_counts``).
-    """
+    From a_0 = 1, the count a_k of length 2k is
 
-    rank: int
-    max_steps: int
-    counts: list[list[int]]
+        a_k = (2N)^2 a_(k-1) - 2N Cat(k-1) q^k,   q = 2N - 1,
 
-    def returning(self, steps: int) -> int:
-        """Walks of length s that end back at the root."""
-        return self.counts[steps][0]
+    which reads off W (1 - (2N)^2 x) = 1 - 2Nqx C(qx) for the returning
+    walks W = 1/(1 - 2Nx C(qx)) (module docstring).  Cat(k) comes from
+    Cat(k-1) 2(2k-1)/(k+1).  Raises ``ValueError`` when that division is
+    not exact or a count is not positive.  Odd lengths never return: 0.
 
-
-def walk_counts(rank: int, max_steps: int, *, _horizon: int | None = None) -> WalkTable:
-    """Count walks on the 2N-regular tree by length and end distance.
-
-    From the root all 2N edges lead outward; from any other vertex one
-    edge leads inward and 2N-1 lead outward.  Row sums are (2N)^s.  A
-    walk of length s ends at a distance of the parity of s, so each row
-    is computed over those distances only and spread into ``counts[s]``,
-    whose other cells are 0.
-
-    ``_horizon`` is private to fpmom.  Each step moves one edge, so a
-    walk at distance d after s steps can be back at the root after H
-    steps only when d <= H - s.  ``verify`` reads only the returning
-    counts, so it passes its max order as H >= max_steps and row s keeps
-    only the distances d <= H - s.  Every kept count is exact, since
-    distance d of the next row reads only distances d - 1 and
-    d + 1 <= H - s.
+    >>> returning_walks(2, 8)
+    [1, 0, 4, 0, 28, 0, 232, 0, 2092]
     """
     _require_int("rank", rank, 1)
     _require_int("max_steps", max_steps, 0)
-    if _horizon is None:
-        _horizon = 2 * max_steps  # keeps every row whole
-    elif _horizon < max_steps:
-        raise ValueError(f"horizon {_horizon} is below max_steps {max_steps}")
-    q = 2 * rank - 1
-    dense = [1]  # row s at the distances s mod 2, s mod 2 + 2, ...
-    rows = [[1]]
-    for s in range(1, max_steps + 1):
-        parity = s % 2
-        if parity:
-            # distance 2i + 1 reads 2i outward and 2i + 2 inward; the root
-            # has 2N = q + 1 edges out
-            first = dense[0]
-            dense = [q * out + back for out, back in zip(dense, dense[1:] + [0])]
-            dense[0] += first
-        else:
-            # distance 2i reads 2i - 1 outward and 2i + 1 inward
-            dense = [q * out + back for out, back in zip([0] + dense, dense + [0])]
-        top = min(s, _horizon - s)
-        del dense[(top - parity) // 2 + 1:]
-        row = [0] * (top + 1)
-        row[parity::2] = dense
-        rows.append(row)
-    return WalkTable(rank, max_steps, rows)
+    two_n, q = 2 * rank, 2 * rank - 1
+    counts = [0] * (max_steps + 1)
+    counts[0] = 1
+    a, cat, q_k = 1, 1, 1  # a_(k-1), Cat(k-1), q^(k-1)
+    for k in range(1, max_steps // 2 + 1):
+        q_k *= q
+        a = two_n * two_n * a - two_n * cat * q_k
+        if a <= 0:
+            raise ValueError(f"first-return count broke at length {2 * k}")
+        counts[2 * k] = a
+        cat, rest = divmod(cat * 2 * (2 * k - 1), k + 1)
+        if rest:
+            raise ValueError(f"Catalan number Cat({k}) is not an integer")
+    return counts
 
 
 _TERM_BUDGET = 720_000
@@ -173,7 +160,6 @@ def verify(
     tree: bool = True,
     ring_max_order: int | None = None,
     support_cap: int | None = None,
-    walk_table: WalkTable | None = None,
 ) -> list[DiffReport]:
     """Check the recurrence against the tree walk and ring oracles in one pass.
 
@@ -185,9 +171,8 @@ def verify(
     paired with one group-ring expansion of the same power, whose trace,
     conditional expectation and per-length coefficients are all checked
     against it; its classes are also checked against the row recurrence.
-    Raises ``ValueError`` for a negative ring_max_order, when neither
-    oracle would check any order, or when ``walk_table`` has another rank
-    or fewer than max_order steps.
+    Raises ``ValueError`` for a negative ring_max_order, or when neither
+    oracle would check any order.
 
     Returns ``[scalar, amalgamated, radiality]``, without the amalgamated
     report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
@@ -195,22 +180,14 @@ def verify(
     """
     _require_int("rank", rank, 1)
     _require_int("max_order", max_order, 1)
-    if walk_table is not None:
-        if walk_table.rank != rank:
-            raise ValueError(f"walk table has rank {walk_table.rank}, verify has rank {rank}")
-        if walk_table.max_steps < max_order:
-            raise ValueError(
-                f"walk table covers {walk_table.max_steps} steps, verify needs {max_order}"
-            )
-    use_tree = tree or walk_table is not None
     if ring_max_order is None:
         ring_max_order = brute_force_budget(rank)
     else:
         _require_int("ring_max_order", ring_max_order, 0)
     ring_limit = min(ring_max_order, max_order)
-    if not use_tree and ring_limit < 1:
+    if not tree and ring_limit < 1:
         raise ValueError("verify needs the tree oracle or a ring limit >= 1")
-    covered = max_order if use_tree else ring_limit
+    covered = max_order if tree else ring_limit
     scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
     reports = [scalar]
     powers = amalgamated = radiality = None
@@ -226,7 +203,7 @@ def verify(
         radiality = DiffReport(f"radiality of powers (rank {rank}, orders 1..{ring_limit})")
         reports.append(radiality)
 
-    constants = _scalar_moments(rank, covered)
+    constants = list(_scalar_moments(rank, covered))
     traces = []
     if ring_limit:
         for dec, (n, gn) in zip(iter_decompositions(rank, ring_limit), powers):
@@ -242,18 +219,19 @@ def verify(
             )
 
     # The scalar report lists tree-walk mismatches before group-ring ones.
-    if use_tree:
-        table = walk_table
-        if table is None:
-            table = walk_counts(rank, max_order, _horizon=max_order)
-        for n, actual in enumerate(constants, 1):
-            expected = table.returning(n)
-            if expected != actual:
-                scalar.record(f"order {n}: tree-walk count", expected, actual)
+    if tree:
+        _compare_tree(scalar, returning_walks(rank, max_order), constants)
     for n, (expected, actual) in enumerate(zip(traces, constants), 1):
         if expected != actual:
             scalar.record(f"order {n}: group-ring trace", expected, actual)
     return reports
+
+
+def _compare_tree(report: DiffReport, counts: list[int], constants: Iterable[int]) -> None:
+    """Record every order n where tr(G^n) differs from the returning walks of length n."""
+    for n, actual in enumerate(constants, 1):
+        if counts[n] != actual:
+            report.record(f"order {n}: tree-walk count", counts[n], actual)
 
 
 def _check_radial(
@@ -289,15 +267,17 @@ def _record_classes(
 
 
 def self_test(rank: int = 2, max_order: int = 8) -> DiffReport:
-    """Prove mismatches are detectable: perturb one walk count and re-verify.
+    """Prove mismatches are detectable: perturb one returning-walk count
+    and compare it with the scalar moments as ``verify`` does.
 
     The returned report must fail with exactly one mismatch at the
     perturbed order; anything else means the harness itself is broken.
     """
     _require_int("max_order", max_order, 2)
-    table = walk_counts(rank, max_order)
-    target = max_order - (max_order % 2)
-    table.counts[target][0] += 1
-    report = verify(rank, max_order, ring_max_order=0, walk_table=table)[0]
-    report.subject += " [self-test: one fault injected]"
+    counts = returning_walks(rank, max_order)
+    counts[max_order - max_order % 2] += 1
+    report = DiffReport(
+        f"scalar moments (rank {rank}, orders 1..{max_order}) [self-test: one fault injected]"
+    )
+    _compare_tree(report, counts, _scalar_moments(rank, max_order))
     return report

@@ -75,6 +75,7 @@ polynomial coefficients exist in each index.  Here they are explicit.
 
 from __future__ import annotations
 
+from collections import deque
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -204,28 +205,33 @@ def decomposition_of(n: int, rank: int) -> RadialDecomposition:
     return RadialDecomposition._of(rank, n, _radial_row(n, rank))
 
 
-def _scalar_moments(rank: int, max_order: int) -> list[int]:
-    """tr(G^1), ..., tr(G^max_order) by the P-recurrence (module docstring)."""
+def _scalar_moments(rank: int, max_order: int) -> Iterator[int]:
+    """Yield tr(G^1), ..., tr(G^max_order) by the P-recurrence (module
+    docstring), holding two moments at a time."""
     two_n, q = 2 * rank, 2 * rank - 1
     k2 = two_n * two_n
-    moments = [0] * max_order
-    if max_order >= 2:
-        moments[1] = two_n
     before, last = 1, two_n  # a_(k-2), a_(k-1)
-    for k in range(2, max_order // 2 + 1):
-        a, rest = divmod(((k2 + 4 * q) * k - 6 * q) * last - k2 * q * (4 * k - 6) * before, k)
-        if rest or a <= 0:
-            raise ValueError(f"P-recurrence broke at order {2 * k}")
-        moments[2 * k - 1] = a
-        before, last = last, a
-    return moments
+    for n in range(1, max_order + 1):
+        k = n // 2
+        if n % 2:
+            yield 0
+        elif k == 1:
+            yield two_n
+        else:
+            a, rest = divmod(((k2 + 4 * q) * k - 6 * q) * last - k2 * q * (4 * k - 6) * before, k)
+            if rest or a <= 0:
+                raise ValueError(f"P-recurrence broke at order {n}")
+            before, last = last, a
+            yield a
 
 
 def scalar_moment(n: int, rank: int) -> int:
     """Trace of G^n: zero for odd n, else a_(n/2) of the P-recurrence."""
     _require_int("order", n, 1)
     _require_int("rank", rank, 1)
-    return _scalar_moments(rank, n)[-1]
+    if n % 2:
+        return 0
+    return deque(_scalar_moments(rank, n), maxlen=1).pop()
 
 
 def _require_subgroup(rank: int) -> None:

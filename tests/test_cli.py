@@ -489,3 +489,20 @@ def test_golden_output(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[command]
+
+
+# sha256 of stdout of the fault-injecting self test, which exits 1; recorded
+# while the tree oracle was still the distance-table walk count
+SELF_TEST_STDOUT = {
+    "verify --self-test --max-order 8":
+        "fad93c4435939e13b73c2a43d95ae36346b2a9caf67a7e38610bf409f2495665",
+    "verify --self-test --rank 3 --max-order 7":
+        "68872270d499265010019edc704f0f3f4918b6ad03ba79ccd8c546c9cf306a8f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SELF_TEST_STDOUT))
+def test_self_test_golden_output(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SELF_TEST_STDOUT[command]

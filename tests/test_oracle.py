@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -9,70 +10,83 @@ from fpmom.oracle import (
     DiffReport,
     Mismatch,
     _check_radial,
+    _compare_tree,
     brute_force_budget,
+    returning_walks,
     self_test,
     verify,
-    walk_counts,
 )
-from fpmom.recurrence import RadialDecomposition, decomposition_of
+from fpmom.recurrence import RadialDecomposition, _scalar_moments, decomposition_of
 from fpmom.ring import RingElement, generating_operator, power
 from fpmom.words import parse_word
 
 
+def _returning_by_distance(rank, max_steps):
+    """Reference for ``returning_walks``: count walks on the 2N-regular tree
+    by length s and end distance d, one whole row per length, and read off
+    d = 0.  From the root all 2N edges lead outward; from any other vertex
+    one edge leads inward and 2N - 1 lead outward."""
+    q = 2 * rank - 1
+    row, returning = [1], [1]
+    for s in range(1, max_steps + 1):
+        nxt = [0] * (s + 1)
+        nxt[1] = (q + 1) * row[0]
+        for d in range(1, len(row)):
+            nxt[d + 1] += q * row[d]
+            nxt[d - 1] += row[d]
+        assert sum(nxt) == (2 * rank) ** s, (rank, s)
+        row = nxt
+        returning.append(row[0])
+    return returning
+
+
+def test_returning_walks_match_the_distance_table():
+    for rank in (1, 2, 3, 5, 8, 30):
+        assert returning_walks(rank, 120) == _returning_by_distance(rank, 120), rank
+
+
 def test_walk_counts_rank_two():
-    table = walk_counts(2, 12)
-    assert table.returning(0) == 1
-    assert table.returning(2) == 4
-    assert table.returning(4) == 28
-    assert table.returning(6) == 232
-    assert table.returning(8) == 2092
-    assert table.returning(10) == 19864
-    assert table.returning(12) == 195352
+    counts = returning_walks(2, 12)
+    assert counts[0::2] == [1, 4, 28, 232, 2092, 19864, 195352]
+    assert counts[1::2] == [0] * 6
 
 
 def test_walk_counts_other_ranks():
-    assert walk_counts(3, 4).returning(4) == 66
+    assert returning_walks(3, 4)[4] == 66
     # rank 1 walks are one-dimensional: central binomial coefficients
-    table = walk_counts(1, 8)
-    assert [table.returning(2 * k) for k in range(5)] == [1, 2, 6, 20, 70]
-
-
-def test_walk_counts_row_sums():
-    for rank in (1, 2, 3):
-        table = walk_counts(rank, 10)
-        for s in range(11):
-            assert sum(table.counts[s]) == (2 * rank) ** s
-
-
-def test_walk_counts_parity_and_bounds():
-    table = walk_counts(2, 9)
-    for s in range(10):
-        for d, c in enumerate(table.counts[s]):
-            if (s - d) % 2 or d > s:
-                assert c == 0
-    assert len(table.counts[3]) == 4  # distances 0..3 only
-    assert table.counts[1][1] == 4
+    assert returning_walks(1, 8)[0::2] == [1, 2, 6, 20, 70]
+    assert returning_walks(2, 0) == [1]
+    assert returning_walks(2, 1) == [1, 0]
 
 
 def test_walk_counts_validation():
     with pytest.raises(ValueError):
-        walk_counts(0, 3)
+        returning_walks(0, 3)
     with pytest.raises(ValueError):
-        walk_counts(2, -1)
-    with pytest.raises(ValueError):
-        walk_counts(2, 9, _horizon=8)
+        returning_walks(2, -1)
 
 
-def test_walk_horizon_keeps_kept_rows_exact():
-    # row s of a table under horizon H is the whole row cut at min(s, H - s)
-    for rank in (1, 2, 3, 4, 8):
-        full = walk_counts(rank, 120).counts
-        for m in range(1, 61):
-            for horizon in sorted({m, m + 1, m + m % 2, 3 * m // 2, 2 * m}):
-                rows = walk_counts(rank, m, _horizon=horizon).counts
-                assert len(rows) == m + 1
-                for s, row in enumerate(rows):
-                    assert row == full[s][: min(s, horizon - s) + 1], (rank, m, horizon, s)
+def test_returning_walks_check_exact_division_and_positivity(monkeypatch):
+    # a non-physical rank, let past the argument check, drives a count to zero
+    monkeypatch.setattr(fpmom.oracle, "_require_int", lambda *args: None)
+    with pytest.raises(ValueError, match="first-return count broke at length 2"):
+        returning_walks(0, 4)
+    # a remainder from the Catalan division is refused
+    monkeypatch.setattr(fpmom.oracle, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(ValueError, match=r"Cat\(1\) is not an integer"):
+        returning_walks(2, 4)
+
+
+def test_tree_leg_holds_no_distance_table():
+    # O(M) memory: the distance table that returning_walks replaced peaked at
+    # 24.7 MB on this call; memory, unlike time, is deterministic
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in verify(8, 900, ring_max_order=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_constant_only_paths_walk_no_chain(monkeypatch):
@@ -87,7 +101,7 @@ def test_constant_only_paths_walk_no_chain(monkeypatch):
 
     monkeypatch.setattr(RadialDecomposition, "step", counting_step)
     m = 500
-    assert fpmom.series.scalar_series(2, m).value(m) == walk_counts(2, m).returning(m)
+    assert fpmom.series.scalar_series(2, m).value(m) == returning_walks(2, m)[m]
     assert decomposition_of(m, 2).mass() == 4**m
     assert all(r.passed for r in verify(2, m, ring_max_order=0))
     assert steps == []
@@ -118,11 +132,6 @@ def test_verify_validation():
         verify(2, 8, tree=False, ring_max_order=-3)
     with pytest.raises(ValueError):
         verify(2, 0)
-    # a supplied walk table must match the run's rank and reach
-    with pytest.raises(ValueError):
-        verify(2, 6, ring_max_order=0, walk_table=walk_counts(3, 6))
-    with pytest.raises(ValueError):
-        verify(2, 8, ring_max_order=0, walk_table=walk_counts(2, 6))
 
 
 def test_verify_refuses_negative_ring_limit():
@@ -211,12 +220,12 @@ def test_diff_report_json():
 
 
 def test_fault_is_localized():
-    # a perturbed tree table must not poison the other orders
-    table = walk_counts(2, 10)
-    table.counts[6][0] += 5
-    report = verify(2, 10, ring_max_order=0, walk_table=table)[0]
-    assert len(report.mismatches) == 1
-    assert "order 6" in report.mismatches[0].location
+    # a perturbed returning-walk count must not poison the other orders
+    counts = returning_walks(2, 10)
+    counts[6] += 5
+    report = DiffReport("scalar")
+    _compare_tree(report, counts, _scalar_moments(2, 10))
+    assert report.mismatches == [Mismatch("order 6: tree-walk count", "237", "232")]
 
 
 def test_radiality_check_names_the_odd_word():

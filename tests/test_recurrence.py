@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import fpmom.recurrence
 from fpmom.laurent import LaurentPolynomial
+from fpmom.series import scalar_series
 from fpmom.recurrence import (
     RadialDecomposition,
     _radial_row,
@@ -84,7 +85,7 @@ def test_row_recurrence_matches_the_chain():
 def test_p_recurrence_matches_the_chain():
     for rank in ENGINE_RANKS:
         constants = [d.coefficient(0) for d in iter_decompositions(rank, 300)]
-        assert _scalar_moments(rank, 300) == constants, rank
+        assert list(_scalar_moments(rank, 300)) == constants, rank
         assert scalar_moment(300, rank) == constants[-1]
         assert scalar_moment(299, rank) == 0
 
@@ -94,7 +95,7 @@ def test_new_engines_check_exact_division_and_positivity(monkeypatch):
     with pytest.raises(ValueError, match="row recurrence for G\\^4 broke at class 0"):
         _radial_row(4, 0)
     with pytest.raises(ValueError, match="P-recurrence broke at order 4"):
-        _scalar_moments(0, 4)
+        list(_scalar_moments(0, 4))
     # a remainder from any division is refused
     monkeypatch.setattr(fpmom.recurrence, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(ValueError, match="row recurrence"):
@@ -125,6 +126,24 @@ def test_scalar_moments():
     assert scalar_moment(2, 3) == 6
     with pytest.raises(ValueError):
         scalar_moment(0, 2)
+
+
+def test_scalar_moment_is_the_last_series_value(monkeypatch):
+    calls = []
+    real = fpmom.recurrence._scalar_moments
+
+    def counting(rank, max_order):
+        calls.append(max_order)
+        return real(rank, max_order)
+
+    monkeypatch.setattr(fpmom.recurrence, "_scalar_moments", counting)
+    for rank in (1, 2, 3, 8):
+        series = scalar_series(rank, 200)
+        for n in range(1, 201):
+            calls.clear()
+            assert scalar_moment(n, rank) == series.value(n), (rank, n)
+            # odd orders never run the P-recurrence
+            assert calls == ([] if n % 2 else [n]), (rank, n)
 
 
 def test_amalgamated_moments_rank_two():
