@@ -20,7 +20,6 @@ from .words import (
 )
 from .ring import (
     DEFAULT_SUPPORT_CAP,
-    Hyperword,
     RingElement,
     SupportCapError,
     conditional_expectation,
@@ -29,6 +28,7 @@ from .ring import (
     multiply,
     power,
     radial_sum,
+    subgroup_word,
 )
 from .recurrence import (
     RadialDecomposition,
@@ -61,7 +61,6 @@ __all__ = [
     "reduced_word_count",
     "LaurentPolynomial",
     "RingElement",
-    "Hyperword",
     "SupportCapError",
     "DEFAULT_SUPPORT_CAP",
     "multiply",
@@ -69,6 +68,7 @@ __all__ = [
     "iter_powers",
     "radial_sum",
     "generating_operator",
+    "subgroup_word",
     "conditional_expectation",
     "RadialDecomposition",
     "iter_decompositions",

@@ -47,11 +47,11 @@ from .recurrence import (
     iter_decompositions,
 )
 from .ring import (
-    Hyperword,
     RingElement,
     conditional_expectation,
     generating_operator,
     iter_powers,
+    subgroup_word,
 )
 from .words import (
     Word, _letter_bits, _packed_length, _require_int, format_word, reduced_word_count
@@ -194,9 +194,9 @@ def verify(
     if ring_limit:
         powers = iter_powers(generating_operator(rank), ring_limit, support_cap)
         if rank >= 2:
-            h = Hyperword.canonical(rank)
+            h = format_word(subgroup_word(rank))
             amalgamated = DiffReport(
-                f"amalgamated moments (rank {rank}, subgroup <{format_word(h.word)}>, "
+                f"amalgamated moments (rank {rank}, subgroup <{h}>, "
                 f"orders 1..{ring_limit})"
             )
             reports.append(amalgamated)
@@ -209,7 +209,7 @@ def verify(
         for dec, (n, gn) in zip(iter_decompositions(rank, ring_limit), powers):
             traces.append(gn.trace())
             if amalgamated is not None:
-                expected = conditional_expectation(gn, h)
+                expected = conditional_expectation(gn)
                 actual = amalgamated_projection(dec)
                 if expected != actual:
                     amalgamated.record(f"order {n}: conditional expectation", expected, actual)

@@ -101,8 +101,8 @@ class RadialDecomposition:
     carries coefficient 1.  ``coeffs`` is a read-only class ->
     coefficient view of ``classes``.
 
-    Decompositions come only from the engine: ``initial`` gives G^1,
-    ``step`` the next power, ``iter_decompositions`` walks both, and
+    Decompositions come only from the engine: ``iter_decompositions``
+    starts from G^1 and walks ``step`` to each next power, and
     ``decomposition_of`` runs the row recurrence, so the class has no
     public constructor.  It is not frozen; like ``Word``'s int,
     ``classes`` is the decomposition's own storage and must not be
@@ -114,17 +114,11 @@ class RadialDecomposition:
 
     @classmethod
     def _of(cls, rank: int, power: int, classes: list[int]):
-        # The one constructor: initial, step, iter_decompositions and
+        # The one constructor: step, iter_decompositions and
         # decomposition_of go through it.
         d = object.__new__(cls)
         d.rank, d.power, d.classes = rank, power, classes
         return d
-
-    @classmethod
-    def initial(cls, rank: int) -> "RadialDecomposition":
-        """G^1 = X_1."""
-        _require_int("rank", rank, 1)
-        return cls._of(rank, 1, [1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RadialDecomposition):

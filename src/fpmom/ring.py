@@ -42,12 +42,12 @@ __all__ = [
     "DEFAULT_SUPPORT_CAP",
     "SupportCapError",
     "RingElement",
-    "Hyperword",
     "multiply",
     "power",
     "iter_powers",
     "radial_sum",
     "generating_operator",
+    "subgroup_word",
     "conditional_expectation",
 ]
 
@@ -238,86 +238,41 @@ def generating_operator(rank: int) -> RingElement:
     return radial_sum(1, rank)
 
 
-class Hyperword:
-    """Generator of the cyclic subgroup that the conditional expectation targets.
+def subgroup_word(rank: int, k: int = 1) -> Word:
+    """h**k for h = g1 g2 ... gN g1^-1 g2^-1 ... gN^-1, the generator of the
+    cyclic subgroup that ``conditional_expectation`` projects onto.
 
-    The base word must be nontrivial and cyclically reduced, so its k-th
-    power is the plain k-fold concatenation and has length k * len(base);
-    membership in the subgroup is then decided by exact division.
+    h is reduced and cyclically reduced, so h**k is the |k|-fold
+    concatenation of h, or of h^-1 when k < 0, and has length 2N|k|.  At
+    rank 1 h is the identity, so rank >= 2 is required.
+
+    >>> format_word(subgroup_word(2))
+    'abAB'
+    >>> format_word(subgroup_word(2, -2))
+    'baBAbaBA'
     """
-
-    __slots__ = ("_word", "_powers")
-
-    def __init__(self, word: Word):
-        if word.is_identity:
-            raise ValueError("subgroup generator must not be the identity")
-        if not word.is_cyclically_reduced:
-            raise ValueError("subgroup generator must be cyclically reduced")
-        self._word = word
-        self._powers: dict[int, Word] = {0: Word.identity(word.rank), 1: word}
-
-    @classmethod
-    def canonical(cls, rank: int) -> "Hyperword":
-        """g1 g2 ... gN g1^-1 g2^-1 ... gN^-1, a reduced word of length 2N.
-
-        At rank 1 this degenerates to the identity, so rank >= 2 is required.
-        """
-        _require_int("rank", rank, 2)
-        codes = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
-        return cls(Word(codes, rank=rank))
-
-    @property
-    def word(self) -> Word:
-        return self._word
-
-    @property
-    def rank(self) -> int:
-        return self._word.rank
-
-    def __len__(self) -> int:
-        return len(self._word)
-
-    def __repr__(self) -> str:
-        return f"Hyperword({format_word(self._word)!r}, rank={self.rank})"
-
-    def power(self, k: int) -> Word:
-        cached = self._powers.get(k)
-        if cached is None:
-            # A cyclically reduced word's powers are plain concatenations.
-            base = (self._word if k > 0 else self._word.inverse())._packed
-            step = len(self._word) * _letter_bits(self.rank)
-            w = 0
-            for _ in range(abs(k)):
-                w = (w << step) | base
-            cached = self._powers[k] = Word._of(w, self.rank)
-        return cached
-
-    def exponent_of(self, w: Word) -> int | None:
-        """Return k with w == base**k, or None if w is outside the subgroup."""
-        n = len(w)
-        if n == 0:
-            return 0
-        length = len(self._word)
-        if n % length:
-            return None
-        k = n // length
-        if w == self.power(k):
-            return k
-        if w == self.power(-k):
-            return -k
-        return None
+    _require_int("rank", rank, 2)
+    if type(k) is not int:
+        raise TypeError(f"k must be an int, got {type(k).__name__}")
+    codes = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
+    h = Word(codes, rank=rank)
+    base = (h if k >= 0 else h.inverse())._packed
+    step = 2 * rank * _letter_bits(rank)
+    w = 0
+    for _ in range(abs(k)):
+        w = (w << step) | base
+    return Word._of(w, rank)
 
 
-def conditional_expectation(x: RingElement, h: Hyperword) -> LaurentPolynomial:
-    """Project onto the cyclic subgroup generated by h.
+def conditional_expectation(x: RingElement) -> LaurentPolynomial:
+    """Project onto the cyclic subgroup generated by ``subgroup_word(x.rank)``.
 
     Keeps exactly the coefficients of powers of h; the result records the
     coefficient of h**k at exponent k (exponent 0 is the trace part).
     """
-    if h.rank != x.rank:
-        raise ValueError(f"rank mismatch: element {x.rank}, subgroup generator {h.rank}")
+    rank = x.rank
     terms = x._terms
     # longer powers of h lie outside the support
-    top = _packed_length(max(terms, default=0), _letter_bits(x.rank)) // len(h)
-    exponents = {h.power(e)._packed: e for e in range(-top, top + 1)}
+    top = _packed_length(max(terms, default=0), _letter_bits(rank)) // (2 * rank)
+    exponents = {subgroup_word(rank, e)._packed: e for e in range(-top, top + 1)}
     return LaurentPolynomial({e: terms[w] for w, e in exponents.items() if w in terms})

@@ -129,14 +129,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self._packed
 
-    @property
-    def is_cyclically_reduced(self) -> bool:
-        """True if no cancellation occurs at the seam when the word is squared."""
-        k = _letter_bits(self._rank)
-        w = self._packed
-        n = _packed_length(w, k)
-        return n < 2 or w >> k * (n - 1) != _inverse_digit(w & (1 << k) - 1)
-
     def __len__(self) -> int:
         return _packed_length(self._packed, _letter_bits(self._rank))
 

@@ -22,12 +22,12 @@ from fpmom.recurrence import (
     scalar_moment,
 )
 from fpmom.ring import (
-    Hyperword,
     RingElement,
     conditional_expectation,
     generating_operator,
     iter_powers,
     multiply,
+    subgroup_word,
 )
 from fpmom.words import Word, format_word, parse_word
 
@@ -107,10 +107,9 @@ def test_criterion_4_amalgamated_equivalence_rank_two():
     with criterion(4, "amalgamated moments (rank 2): recurrence == expectation for n <= 12"):
         start = time.perf_counter()
         g = generating_operator(2)
-        h = Hyperword.canonical(2)
         collected = {}
         for n, gn in iter_powers(g, 12):
-            collected[n] = conditional_expectation(gn, h)
+            collected[n] = conditional_expectation(gn)
             assert collected[n] == amalgamated_moment(n, 2), n
         assert collected[2] == LaurentPolynomial({0: 4})
         assert collected[3].is_zero
@@ -123,11 +122,10 @@ def test_criterion_5_rank_three_agreement():
     with criterion(5, "rank 3: recurrence == ring oracle for n <= 8 with period-6 rule"):
         start = time.perf_counter()
         g = generating_operator(3)
-        h = Hyperword.canonical(3)
-        assert len(h) == 6
+        assert len(subgroup_word(3)) == 6
         for n, gn in iter_powers(g, 8):
             assert gn.trace() == scalar_moment(n, 3), n
-            assert conditional_expectation(gn, h) == amalgamated_moment(n, 3), n
+            assert conditional_expectation(gn) == amalgamated_moment(n, 3), n
         # only multiples of 6 pick up subgroup powers
         assert dict(amalgamated_moment(4, 3).items()) == {0: 66}
         assert dict(amalgamated_moment(6, 3).items()) == {-1: 1, 0: 876, 1: 1}
@@ -140,11 +138,10 @@ def test_criterion_6_odd_moments_vanish():
             assert scalar_moment(n, 2) == 0, n
             assert amalgamated_moment(n, 2).is_zero, n
         g = generating_operator(2)
-        h = Hyperword.canonical(2)
         for n, gn in iter_powers(g, 11):
             if n % 2:
                 assert gn.trace() == 0, n
-                assert conditional_expectation(gn, h).is_zero, n
+                assert conditional_expectation(gn).is_zero, n
 
 
 def _random_word(rng: random.Random, rank: int, max_len: int) -> Word:
@@ -175,7 +172,6 @@ def test_criterion_7_structural_suites():
                 assert d.mass() == (2 * rank) ** d.power, (rank, d.power)
 
         rng = random.Random(1729)
-        h = Hyperword.canonical(2)
         for _ in range(1000):
             x = _random_element(rng, 2)
             y = _random_element(rng, 2)
@@ -184,12 +180,10 @@ def test_criterion_7_structural_suites():
             assert multiply(x, y).trace() == multiply(y, x).trace()
             p, q = rng.randint(-2, 2), rng.randint(-2, 2)
             moved = multiply(
-                multiply(RingElement.monomial(h.power(p)), x),
-                RingElement.monomial(h.power(q)),
+                multiply(RingElement.monomial(subgroup_word(2, p)), x),
+                RingElement.monomial(subgroup_word(2, q)),
             )
-            assert conditional_expectation(moved, h) == conditional_expectation(
-                x, h
-            ).shifted(p + q)
+            assert conditional_expectation(moved) == conditional_expectation(x).shifted(p + q)
 
         for _ in range(1000):
             rank = rng.randint(1, 5)

@@ -19,7 +19,6 @@ from fpmom.recurrence import decomposition_of
 PUBLIC_NAMES = [
     "DEFAULT_SUPPORT_CAP",
     "DiffReport",
-    "Hyperword",
     "LaurentPolynomial",
     "Mismatch",
     "MomentSeries",
@@ -48,22 +47,21 @@ PUBLIC_NAMES = [
     "scalar_moment",
     "scalar_series",
     "self_test",
+    "subgroup_word",
     "verify",
 ]
 
-# bench/tracer.py wraps every public function of these modules, gives spans
-# or counters to the methods below, and reads the attributes below.
-TRACED_LAYERS = ("laurent", "ring", "recurrence", "oracle", "series", "cli")
-TRACED_FUNCTIONS = {
-    "ring": ("multiply", "iter_powers"),
-    "recurrence": ("iter_decompositions", "decomposition_of"),
-    "series": ("emit",),
-}
-TRACED_CLASS_ATTRIBUTES = {
-    ("laurent", "LaurentPolynomial"): ("__init__", "to_pairs", "to_csv_cell", "to_tex"),
-    ("ring", "RingElement"): ("to_json_dict", "terms", "support_size"),
-    ("recurrence", "RadialDecomposition"): ("step", "coeffs"),
-}
+# bench/tracer.py, read without importing or editing it
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer_assignments():
+    """The tracer's module-level ``name = value`` nodes, by name."""
+    return {
+        node.targets[0].id: node.value
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
 
 
 def _modules():
@@ -86,19 +84,24 @@ def test_submodule_exports_resolve():
 
 
 def test_traced_names_exist():
-    for layer in TRACED_LAYERS:
+    # install() wraps the public functions of each layer and calls getattr on
+    # every SPAN_METHODS and COUNTED_METHODS entry, so a missing layer or
+    # method would raise in every traced job
+    tracer = _tracer_assignments()
+    for layer in ast.literal_eval(tracer["LAYERS"]):
         importlib.import_module(f"fpmom.{layer}")
-    for layer, names in TRACED_FUNCTIONS.items():
-        module = importlib.import_module(f"fpmom.{layer}")
-        for name in names:
-            fn = getattr(module, name)
-            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
-    for (layer, cls_name), attrs in TRACED_CLASS_ATTRIBUTES.items():
-        cls = getattr(importlib.import_module(f"fpmom.{layer}"), cls_name)
-        for attr in attrs:
-            assert hasattr(cls, attr), (cls_name, attr)
+    tables = [ast.literal_eval(tracer[name]) for name in ("SPAN_METHODS", "COUNTED_METHODS")]
+    assert ("recurrence", "RadialDecomposition") in tables[1]  # the parse found both
+    for table in tables:
+        for (layer, cls_name), methods in table.items():
+            cls = getattr(importlib.import_module(f"fpmom.{layer}"), cls_name)
+            for method in methods:
+                assert callable(getattr(cls, method)), (cls_name, method)
     # the tracer reads these attributes off the instances
-    assert decomposition_of(3, 2).power == 3
+    g2 = fpmom.power(fpmom.generating_operator(2), 2)
+    assert g2.support_size == len(g2.terms) == 13
+    d3 = decomposition_of(3, 2)
+    assert d3.power == 3 and dict(d3.coeffs) == {3: 1, 1: 7}
 
 
 # Names bench/tracer.py hooks or spans that no fpmom function carries any more;
@@ -107,17 +110,10 @@ STALE_TRACER_NAMES = {"walk_counts", "verify_scalar", "verify_amalgamated", "ver
 
 
 def test_tracer_names_are_live_or_listed():
-    # read the tracer's names without importing or editing it; a stale name
-    # does not crash the tracer, it silently zeroes a metric
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    names = set()
-    for node in ast.parse(tracer.read_text()).body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            value = node.value
-            if node.targets[0].id == "_HOOKS":
-                names.update(ast.literal_eval(key) for key in value.keys)
-            elif node.targets[0].id == "VERIFY_SPANS":
-                names.update(ast.literal_eval(value))
+    # a stale name does not crash the tracer, it silently zeroes a metric
+    tracer = _tracer_assignments()
+    names = {ast.literal_eval(key) for key in tracer["_HOOKS"].keys}
+    names.update(ast.literal_eval(tracer["VERIFY_SPANS"]))
     assert {"multiply", "emit", "verify_scalar"} <= names  # the parse found both
     live = {
         name
@@ -194,6 +190,12 @@ BAD_INT_CALLS = {
     "amalgamated_series-order-0": (
         lambda: fpmom.amalgamated_series(2, 0), ValueError, "max_order"
     ),
+    "subgroup_word-bool-rank": (lambda: fpmom.subgroup_word(True), TypeError, "rank"),
+    "subgroup_word-rank-1": (lambda: fpmom.subgroup_word(1), ValueError, "rank"),
+    "subgroup_word-bool-k": (lambda: fpmom.subgroup_word(2, True), TypeError, "k"),
+    "conditional_expectation-rank-1": (
+        lambda: fpmom.conditional_expectation(fpmom.generating_operator(1)), ValueError, "rank"
+    ),
 }
 
 
@@ -220,7 +222,7 @@ def test_one_int_rule():
 
 def test_readme_quickstart():
     from fpmom import (
-        Hyperword, conditional_expectation, generating_operator,
+        conditional_expectation, generating_operator, subgroup_word,
         scalar_moment, amalgamated_moment, power, scalar_series,
     )
 
@@ -230,9 +232,8 @@ def test_readme_quickstart():
     g = generating_operator(2)
     g4 = power(g, 4)
     assert g4.trace() == 28
-    h = Hyperword.canonical(2)
-    assert str(h.word) == "abAB"
-    assert conditional_expectation(g4, h) == amalgamated_moment(4, 2)
+    assert conditional_expectation(g4) == amalgamated_moment(4, 2)
+    assert str(subgroup_word(2)) == "abAB"
 
     assert scalar_series(2, 8).value(8) == 2092
 

@@ -19,18 +19,18 @@ ENGINE_RANKS = (1, 2, 3, 5, 8, 30)
 
 
 def test_initial():
-    d = RadialDecomposition.initial(2)
+    d = next(iter_decompositions(2, 1))
     assert d.power == 1
     assert dict(d.coeffs) == {1: 1}
     assert d.mass() == 4
-    assert RadialDecomposition.initial(3).mass() == 6
+    assert next(iter_decompositions(3, 1)).mass() == 6
     assert repr(d) == "RadialDecomposition(rank=2, power=1, classes=[1])"
     with pytest.raises(TypeError):
         RadialDecomposition(2, 2, {2: 1, 0: 4})  # only the chain builds decompositions
 
 
 def test_single_steps():
-    d = RadialDecomposition.initial(2)
+    d = next(iter_decompositions(2, 1))
     d2 = d.step()
     assert dict(d2.coeffs) == {2: 1, 0: 4}
     d3 = d2.step()

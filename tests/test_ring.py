@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from fpmom.laurent import LaurentPolynomial
 from fpmom.ring import (
     DEFAULT_SUPPORT_CAP,
-    Hyperword,
     RingElement,
     SupportCapError,
     conditional_expectation,
@@ -16,6 +15,7 @@ from fpmom.ring import (
     multiply,
     power,
     radial_sum,
+    subgroup_word,
 )
 from fpmom.words import Word, format_word, parse_word, reduced_word_count
 
@@ -171,84 +171,81 @@ def test_support_cap_on_radial_sum():
     assert DEFAULT_SUPPORT_CAP == 10**8
 
 
+def _exponent_of(word):
+    """k with word == h**k, or None off the subgroup: a signed-code
+    reference for h = g1 ... gN g1^-1 ... gN^-1."""
+    h = (*range(1, word.rank + 1), *range(-1, -word.rank - 1, -1))
+    k, rest = divmod(len(word), len(h))
+    if rest:
+        return None
+    if word.codes == h * k:
+        return k
+    if word.codes == tuple(-c for c in reversed(h)) * k:
+        return -k
+    return None
+
+
 def test_hyperword_canonical():
-    h = Hyperword.canonical(2)
-    assert h.word == w("abAB")
+    h = subgroup_word(2)
+    assert h == w("abAB")
     assert len(h) == 4
-    h3 = Hyperword.canonical(3)
-    assert h3.word == parse_word("abcABC", 3)
+    h3 = subgroup_word(3)
+    assert h3 == parse_word("abcABC", 3)
     assert len(h3) == 6
     with pytest.raises(ValueError):
-        Hyperword.canonical(1)
-
-
-def test_hyperword_validation():
-    with pytest.raises(ValueError):
-        Hyperword(Word.identity(2))
-    with pytest.raises(ValueError):
-        Hyperword(w("abA"))  # not cyclically reduced
-    # any nontrivial cyclically reduced word is allowed, rank 1 included
-    Hyperword(Word([1, 1], rank=1))
+        subgroup_word(1)
 
 
 def test_hyperword_powers_and_exponents():
-    h = Hyperword.canonical(2)
-    assert h.power(0).is_identity
-    assert h.power(2) == _times(h.word, h.word)
-    assert h.power(-1) == h.word.inverse()
-    assert len(h.power(3)) == 12
-    assert h.exponent_of(Word.identity(2)) == 0
-    assert h.exponent_of(h.word) == 1
-    assert h.exponent_of(h.power(-2)) == -2
-    assert h.exponent_of(w("ab")) is None
-    assert h.exponent_of(w("abABabAB")) == 2
-    assert h.exponent_of(w("abABbaBA")) == 0  # cancels to the identity
-    assert h.exponent_of(w("abABaBAb")) is None  # right length, wrong word
+    h = subgroup_word(2)
+    assert subgroup_word(2, 0).is_identity
+    assert subgroup_word(2, 2) == _times(h, h)
+    assert subgroup_word(2, -1) == h.inverse()
+    assert len(subgroup_word(2, 3)) == 12
+    assert _exponent_of(Word.identity(2)) == 0
+    assert _exponent_of(h) == 1
+    assert _exponent_of(subgroup_word(2, -2)) == -2
+    assert _exponent_of(w("ab")) is None
+    assert _exponent_of(w("abABabAB")) == 2
+    assert _exponent_of(w("abABbaBA")) == 0  # cancels to the identity
+    assert _exponent_of(w("abABaBAb")) is None  # right length, wrong word
 
 
 def test_hyperword_deep_powers():
-    h = Hyperword.canonical(2)
     for k in (5000, -5000):
-        big = h.power(k)
+        big = subgroup_word(2, k)
         assert len(big) == 4 * 5000
-        # a fresh generator builds its own power to compare against
-        assert Hyperword.canonical(2).exponent_of(big) == k
-    assert h.power(5000) == _times(h.power(4999), h.word)
-    assert h.power(-5000) == h.power(5000).inverse()
+        assert _exponent_of(big) == k
+    assert subgroup_word(2, 5000) == _times(subgroup_word(2, 4999), subgroup_word(2))
+    assert subgroup_word(2, -5000) == subgroup_word(2, 5000).inverse()
 
 
 def test_conditional_expectation_small_powers():
     g = generating_operator(2)
-    h = Hyperword.canonical(2)
-    assert conditional_expectation(power(g, 2), h) == LaurentPolynomial({0: 4})
-    assert conditional_expectation(power(g, 3), h).is_zero
-    assert conditional_expectation(power(g, 4), h) == LaurentPolynomial(
+    assert conditional_expectation(power(g, 2)) == LaurentPolynomial({0: 4})
+    assert conditional_expectation(power(g, 3)).is_zero
+    assert conditional_expectation(power(g, 4)) == LaurentPolynomial(
         {1: 1, -1: 1, 0: 28}
     )
-    with pytest.raises(ValueError):
-        conditional_expectation(generating_operator(3), h)
 
 
 def test_conditional_expectation_order_eight():
     g = generating_operator(2)
-    h = Hyperword.canonical(2)
-    assert conditional_expectation(power(g, 8), h) == LaurentPolynomial(
+    assert conditional_expectation(power(g, 8)) == LaurentPolynomial(
         {2: 1, -2: 1, 1: 202, -1: 202, 0: 2092}
     )
 
 
 def test_expectation_trace_consistency():
     g = generating_operator(2)
-    h = Hyperword.canonical(2)
     for n, gn in iter_powers(g, 6):
-        assert conditional_expectation(gn, h).constant_term == gn.trace()
+        assert conditional_expectation(gn).constant_term == gn.trace()
 
 
 def test_expectation_of_radial_classes():
     # X_m holds exactly the h-powers with exponent +-m/(2N) when 2N | m
-    h = Hyperword.canonical(2)
     for m in range(0, 13):
-        got = conditional_expectation(radial_sum(m, 2), h)
+        got = conditional_expectation(radial_sum(m, 2))
         if m == 0:
             assert got == LaurentPolynomial({0: 1})
         elif m % 4 == 0:
@@ -256,9 +253,8 @@ def test_expectation_of_radial_classes():
             assert got == LaurentPolynomial({k: 1, -k: 1}), m
         else:
             assert got.is_zero, m
-    h3 = Hyperword.canonical(3)
     for m in range(0, 9):
-        got = conditional_expectation(radial_sum(m, 3), h3)
+        got = conditional_expectation(radial_sum(m, 3))
         if m == 0:
             assert got == LaurentPolynomial({0: 1})
         elif m % 6 == 0:
@@ -267,20 +263,19 @@ def test_expectation_of_radial_classes():
             assert got.is_zero, m
 
 
-def _embedded(p, h):
+def _embedded(p, rank):
     """The element with coefficient c at h**k for each term c h^k of p."""
-    return RingElement(h.rank, {h.power(k): c for k, c in p.items()})
+    return RingElement(rank, {subgroup_word(rank, k): c for k, c in p.items()})
 
 
 def test_embed_and_idempotence():
     # E is left inverse to sending h^k back to the word h**k
-    h = Hyperword.canonical(2)
     p = LaurentPolynomial({1: 1, -1: 1, 0: 28})
-    x = _embedded(p, h)
+    x = _embedded(p, 2)
     assert x.support_size == 3
     assert x.trace() == 28
-    assert conditional_expectation(x, h) == p
-    assert _embedded(LaurentPolynomial(), h).support_size == 0
+    assert conditional_expectation(x) == p
+    assert _embedded(LaurentPolynomial(), 2).support_size == 0
 
 
 def _decode_element(payload):
@@ -352,22 +347,18 @@ def test_unit_is_neutral(x):
 @given(elements())
 @settings(max_examples=60, deadline=None)
 def test_expectation_idempotent(x):
-    h = Hyperword.canonical(_RANK)
-    p = conditional_expectation(x, h)
-    assert conditional_expectation(_embedded(p, h), h) == p
+    p = conditional_expectation(x)
+    assert conditional_expectation(_embedded(p, _RANK)) == p
 
 
 @given(elements(), st.integers(-2, 2), st.integers(-2, 2))
 @settings(max_examples=60, deadline=None)
 def test_expectation_bimodule_shift(x, p, q):
     # E(h^p x h^q) = shift of E(x) by p + q
-    h = Hyperword.canonical(_RANK)
-    left = RingElement.monomial(h.power(p))
-    right = RingElement.monomial(h.power(q))
+    left = RingElement.monomial(subgroup_word(_RANK, p))
+    right = RingElement.monomial(subgroup_word(_RANK, q))
     moved = multiply(multiply(left, x), right)
-    assert conditional_expectation(moved, h) == conditional_expectation(x, h).shifted(
-        p + q
-    )
+    assert conditional_expectation(moved) == conditional_expectation(x).shifted(p + q)
 
 
 @given(elements(), elements())
@@ -485,18 +476,17 @@ def test_packed_terms_round_trip_and_json_order(rank):
 @pytest.mark.parametrize("rank", (2, 3, 4, 8, 27))
 def test_packed_expectation_matches_exponent_of(rank):
     rng = random.Random(4300 + rank)
-    h = Hyperword.canonical(rank)
     for _ in range(20):
         terms = _random_terms(rng, rank, 6, 4)
         for _ in range(3):
-            k = rng.randint(-3, 3)
-            terms[h.power(k)] = terms.get(h.power(k), 0) + rng.randint(1, 9)
+            hk = subgroup_word(rank, rng.randint(-3, 3))
+            terms[hk] = terms.get(hk, 0) + rng.randint(1, 9)
         expected = {}
         for word, c in terms.items():
-            k = h.exponent_of(word)
+            k = _exponent_of(word)
             if k is not None:
                 expected[k] = expected.get(k, 0) + c
-        assert conditional_expectation(RingElement(rank, terms), h) == LaurentPolynomial(expected)
+        assert conditional_expectation(RingElement(rank, terms)) == LaurentPolynomial(expected)
 
 
 @pytest.mark.parametrize("rank", (1, 2, 3, 5, 27))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fpmom.ring import Hyperword, RingElement, multiply, radial_sum
+from fpmom.ring import RingElement, multiply, radial_sum, subgroup_word
 from fpmom.words import Word, format_word, parse_word, reduced_word_count
 
 
@@ -61,14 +61,14 @@ def test_inverse():
 
 
 def test_word_powers():
-    # powers of a cyclically reduced word come from its Hyperword
-    h = Hyperword(parse_word("abAB", 2))
-    assert len(h.power(3)) == 12
-    assert h.power(0) == Word.identity(2)
-    assert h.power(-1) == h.word.inverse()
-    assert h.power(-2) == _times(h.word, h.word).inverse()
-    a = Hyperword(Word([1], rank=1))
-    assert a.power(5).codes == (1, 1, 1, 1, 1)
+    # powers of the subgroup generator h = abAB are plain concatenations
+    h = parse_word("abAB", 2)
+    assert subgroup_word(2) == h
+    assert len(subgroup_word(2, 3)) == 12
+    assert subgroup_word(2, 0) == Word.identity(2)
+    assert subgroup_word(2, -1) == h.inverse()
+    assert subgroup_word(2, -2) == _times(h, h).inverse()
+    assert subgroup_word(3, 2).codes == (1, 2, 3, -1, -2, -3) * 2
 
 
 def test_parse_compact():
@@ -168,13 +168,6 @@ def test_enumeration_is_exhaustive():
     }
     reduced_len3 = {w for w in raw if len(w) == 3}
     assert reduced_len3 == set(radial_sum(3, 2).terms)
-
-
-def test_cyclically_reduced():
-    assert parse_word("abAB", 2).is_cyclically_reduced
-    assert not parse_word("abA", 2).is_cyclically_reduced
-    assert Word.identity(2).is_cyclically_reduced
-    assert Word([1], rank=2).is_cyclically_reduced
 
 
 # ---- properties ----
