@@ -146,8 +146,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     _require(args.rank >= 1, "--rank must be >= 1")
     _require(args.power >= 0, "--power must be >= 0")
     cap = _resolve_cap(args)
-    element = power(generating_operator(args.rank), args.power, support_cap=cap)
-    text = json.dumps(element.to_json_dict(), separators=(",", ":")) + "\n"
+    # no name holds the element, so it is freed before its text is encoded
+    text = power(generating_operator(args.rank), args.power, support_cap=cap).to_json()
     _write_output(args, text.encode("utf-8"))
     return EXIT_OK
 

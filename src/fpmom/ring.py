@@ -13,7 +13,7 @@ Terms are keyed by packed words, the ints that ``Word`` itself stores
 product kernel appends letters by shifting ints, and sorting the keys
 sorts the words.  ``Word`` stays the type of the public API: the
 constructor and ``coefficient`` read a word's int, ``terms`` wraps each
-int in a ``Word``, and ``to_json_dict`` spells the ints directly.
+int in a ``Word``, and ``to_json`` spells the ints directly.
 
 Supports of powers of the generating operator grow like (2N-1)^n, so
 every expanding operation takes a term cap (default ``10**8``) and
@@ -22,6 +22,7 @@ refuses with :class:`SupportCapError` rather than exhausting memory.
 
 from __future__ import annotations
 
+import json
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -33,7 +34,7 @@ from .words import (
     _level,
     _packed_length,
     _require_int,
-    _text_reader,
+    _speller,
     format_word,
     reduced_word_count,
 )
@@ -150,18 +151,49 @@ class RingElement:
     def __repr__(self) -> str:
         return f"<RingElement rank={self._rank} support={len(self._terms)}>"
 
-    def to_json_dict(self) -> dict:
-        """Schema: {"rank": N, "terms": [{"word": ..., "coeff": "<decimal>"}, ...]}.
+    def to_json(self) -> str:
+        """The element as one line of JSON, newline included:
+        {"rank":N,"terms":[{"word":"...","coeff":"<decimal>"},...]}.
 
-        Terms are sorted in canonical word order so output is reproducible.
+        Terms are in canonical word order, so output is reproducible.  In
+        that order the words that share a prefix are adjacent, so each
+        prefix is spelled once, and each distinct coefficient is spelled
+        once; a term then costs one concatenation.  Terms are joined a few
+        thousand at a time, so their strings never all live at once.
         """
-        text = _text_reader(self._rank)
-        return {
-            "rank": self._rank,
-            "terms": [
-                {"word": text(w), "coeff": str(c)} for w, c in sorted(self._terms.items())
-            ],
-        }
+        rank = self._rank
+        k = _letter_bits(rank)
+        mask = (1 << k) - 1
+        lone, tails, spell = _speller(rank)
+        terms = self._terms
+        # ends[c][d]: the last letter, digit d, then coefficient c; ends[c][0]: c alone
+        ends: dict[int, list[str]] = {}
+        chunks: list[str] = []
+        out: list[str] = []
+        last = head = None
+        for w in sorted(terms):
+            c = terms[w]
+            end = ends.get(c)
+            if end is None:
+                coeff = f'","coeff":"{c}"}}'
+                end = ends[c] = [coeff, *(tail + coeff for tail in tails[1:])]
+            p = w >> k
+            if not p:
+                out.append('{"word":"' + lone[w] + end[0])
+                continue
+            if p != last:
+                last = p
+                head = '{"word":"' + spell(p)
+                if len(out) >= 4096:
+                    chunks.append(",".join(out))
+                    out.clear()
+            out.append(head + end[w & mask])
+        chunks.append(",".join(out))
+        return f'{{"rank":{rank},"terms":[' + ",".join(chunks) + "]}\n"
+
+    def to_json_dict(self) -> dict:
+        """The parsed ``to_json``: {"rank": N, "terms": [{"word": ..., "coeff": ...}, ...]}."""
+        return json.loads(self.to_json())
 
 
 def multiply(x: RingElement, y: RingElement, support_cap: int | None = None) -> RingElement:

@@ -74,7 +74,7 @@ class Word:
 
     Words themselves are unordered.  The canonical order is the packed
     int's (length first, then a < A < b < B < aa < ...), and
-    ``RingElement.to_json_dict`` sorts a support's ints to get it.
+    ``RingElement.to_json`` sorts a support's ints to get it.
     """
 
     __slots__ = ("_packed", "_rank")
@@ -205,12 +205,16 @@ def parse_word(text: str, rank: int) -> Word:
     return Word(codes, rank=rank)
 
 
-def _text_reader(rank: int) -> Callable[[int], str]:
-    """Return text(w): the spelling of the packed word w, compact when the
-    rank allows it, indexed otherwise.
+def _speller(rank: int) -> tuple[list[str], list[str], Callable[[int], str]]:
+    """Return (lone, tails, spell), the spelling rules of one rank.
 
-    The spelling of each prefix ``w >> k`` is kept, so spelling a whole
-    support costs about one concatenation per word.
+    spell(w) joins the letters of the packed word w, compact when the rank
+    allows it, indexed otherwise.  That is w's text unless w has at most
+    one letter (w <= mask): those spell as lone[w], where the identity is
+    "e" and, in compact form, generator 5 is "g5".  tails[d] is the
+    separator, then the letter with digit d, so a longer word spells as
+    spell(w >> k) + tails[w & mask], and a caller that spells a sorted
+    support can spell each prefix once for all the words it begins.
     """
     k = _letter_bits(rank)
     mask = (1 << k) - 1
@@ -224,25 +228,16 @@ def _text_reader(rank: int) -> Callable[[int], str]:
     if 5 <= rank <= 26:
         # lone generator 5 collides with the identity spelling
         lone[9] = "g5"
-    prefixes: dict[int, str] = {}
+    tails = [sep + piece for piece in pieces]
 
-    def prefix(p: int) -> str:
-        s = prefixes.get(p)
-        if s is None:
-            letters = []
-            q = p
-            while q:
-                letters.append(pieces[q & mask])
-                q >>= k
-            s = prefixes[p] = sep.join(reversed(letters))
-        return s
+    def spell(w: int) -> str:
+        letters = []
+        while w:
+            letters.append(pieces[w & mask])
+            w >>= k
+        return sep.join(reversed(letters))
 
-    def text(w: int) -> str:
-        if w <= mask:
-            return lone[w]
-        return prefix(w >> k) + sep + pieces[w & mask]
-
-    return text
+    return lone, tails, spell
 
 
 def format_word(w: Word) -> str:
@@ -253,7 +248,9 @@ def format_word(w: Word) -> str:
     >>> format_word(Word([], rank=2))
     'e'
     """
-    return _text_reader(w.rank)(w._packed)
+    lone, _, spell = _speller(w.rank)
+    p = w._packed
+    return spell(p) if p >> _letter_bits(w.rank) else lone[p]
 
 
 def _require_int(name: str, value: object, least: int) -> None:

@@ -464,6 +464,12 @@ GOLDEN_STDOUT = {
         "ef9f492fc17f61bd35557da1bd444a2fb628bb538a0308a5a6c0871b762730c1",
     "expand --rank 3 --power 4":
         "083af85d386c1f26a5f6b10b4f0453e84fb78f51ebeb1c8678309f2d5e5d9f11",
+    # recorded while expand still wrote json.dumps of to_json_dict; rank 5
+    # spells generator 5 "g5" alone and "e" in longer words, rank 27 is indexed
+    "expand --rank 5 --power 3":
+        "669cb6ec3915db3f72f5f7bb542decab87fc613eb41912540fdf9597df2f0a60",
+    "expand --rank 27 --power 2":
+        "77e43d2586cf13abe125a0cba5f600ff7f7b27faae87ce34e5fa9a5731bc8704",
     "scalar --rank 2 --max-order 200 --format csv":
         "96878f3a8c54aeaf40cfb00d838dc007de62b18a1493d5ec7f2f128d980214a2",
     "scalar --rank 2 --max-order 200 --format tex":

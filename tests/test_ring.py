@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -467,10 +468,33 @@ def test_packed_terms_round_trip_and_json_order(rank):
         order = sorted(terms, key=_order_key)
         assert [t["word"] for t in payload] == [_spelling(word.codes, rank) for word in order]
         assert [t["coeff"] for t in payload] == [str(terms[word]) for word in order]
+        assert x.to_json() == _reference_json(rank, terms)
+    assert RingElement(rank).to_json() == f'{{"rank":{rank},"terms":[]}}\n'
+    assert RingElement.one(rank).to_json() == _reference_json(rank, {Word.identity(rank): 1})
     if rank > 26:
         assert RingElement.monomial(Word([1, -27], rank=rank)).to_json_dict()["terms"] == [
             {"word": "g1 G27", "coeff": "1"}
         ]
+
+
+def _reference_json(rank, terms):
+    """The text of expand's schema for a word -> coefficient map, through json.dumps."""
+    payload = {
+        "rank": rank,
+        "terms": [
+            {"word": _spelling(word.codes, rank), "coeff": str(terms[word])}
+            for word in sorted(terms, key=_order_key)
+        ],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+# supports of 19,531, 7,381 and 2,863 terms: the writer joins its terms a few
+# thousand at a time, and rank 5 spells generator 5 both as "g5" and as "e"
+@pytest.mark.parametrize("rank, n", [(3, 6), (5, 4), (27, 2)])
+def test_json_text_of_powers_matches_reference(rank, n):
+    x = power(generating_operator(rank), n)
+    assert x.to_json() == _reference_json(rank, dict(x.terms))
 
 
 @pytest.mark.parametrize("rank", (2, 3, 4, 8, 27))
