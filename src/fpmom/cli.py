@@ -11,11 +11,12 @@ Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including an --output
 that cannot be written; a missing parent directory or a directory is
 refused before any computation), 3 resource cap hit.
-`expand` and `verify` expand powers of G in the group ring; for them the
-environment variable FPMOM_SUPPORT_CAP overrides the default term cap,
-and --support-cap overrides both.  `verify --oracle tree` expands
-nothing, so it refuses --ring-max-order and --support-cap (exit 2), and
-`verify --self-test` refuses those two and --oracle.
+Each int flag is checked once, by its argparse type `_at_least`.
+`expand` and `verify` expand powers of G in the group ring, and
+--support-cap bounds their stored terms.  `verify --oracle tree` runs the
+tree oracle alone and expands nothing, so it refuses --ring-max-order and
+--support-cap (exit 2), and `verify --self-test` refuses those two and
+--oracle.
 """
 
 from __future__ import annotations
@@ -46,19 +47,18 @@ def _require(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.support_cap is not None:
-        _require(args.support_cap >= 1, "--support-cap must be >= 1")
-        return args.support_cap
-    env = os.environ.get("FPMOM_SUPPORT_CAP")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise _UsageError(f"FPMOM_SUPPORT_CAP must be an integer, got {env!r}")
-        _require(cap >= 1, "FPMOM_SUPPORT_CAP must be >= 1")
-        return cap
-    return DEFAULT_SUPPORT_CAP
+def _at_least(least: int):
+    """The argparse type of every int flag: an int, at least least; anything
+    else exits 2 with the flag named."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _check_output(args: argparse.Namespace) -> None:
@@ -94,20 +94,12 @@ def _write_output(args: argparse.Namespace, data: bytes) -> None:
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:
-    _require(args.rank >= 1, "--rank must be >= 1")
-    _require(args.max_order >= 1, "--max-order must be >= 1")
     series = scalar_series(args.rank, args.max_order)
     _write_output(args, emit(series, args.format))
     return EXIT_OK
 
 
 def cmd_amalg(args: argparse.Namespace) -> int:
-    _require(
-        args.rank >= 2,
-        "--rank must be >= 2 for amalgamated moments: the canonical subgroup "
-        "generator degenerates to the identity at rank 1",
-    )
-    _require(args.max_order >= 1, "--max-order must be >= 1")
     series = amalgamated_series(args.rank, args.max_order)
     _write_output(args, emit(series, args.format))
     return EXIT_OK
@@ -127,8 +119,6 @@ def _xdecomp_payload(args: argparse.Namespace, rows: list[tuple[int, int]]) -> b
 
 
 def cmd_xdecomp(args: argparse.Namespace) -> int:
-    _require(args.rank >= 1, "--rank must be >= 1")
-    _require(args.power >= 1, "--power must be >= 1")
     dec = decomposition_of(args.power, args.rank)
     rows = list(dec.rows())
     _write_output(args, _xdecomp_payload(args, rows))
@@ -143,22 +133,13 @@ def cmd_xdecomp(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    _require(args.rank >= 1, "--rank must be >= 1")
-    _require(args.power >= 0, "--power must be >= 0")
-    cap = _resolve_cap(args)
     # no name holds the element, so it is freed before its text is encoded
-    text = power(generating_operator(args.rank), args.power, support_cap=cap).to_json()
+    text = power(generating_operator(args.rank), args.power, args.support_cap).to_json()
     _write_output(args, text.encode("utf-8"))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _require(args.rank >= 1, "--rank must be >= 1")
-    _require(args.max_order >= 1, "--max-order must be >= 1")
-    _require(
-        args.ring_max_order is None or args.ring_max_order >= 1,
-        "--ring-max-order must be >= 1 (--oracle tree skips the ring oracle)",
-    )
     ring_flags = (("--ring-max-order", args.ring_max_order), ("--support-cap", args.support_cap))
     if args.self_test:
         mode, ignored = "--self-test", (("--oracle", args.oracle), *ring_flags)
@@ -168,19 +149,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ignored = ()
     for flag, value in ignored:
         _require(value is None, f"{flag} has no effect with {mode}")
-    cap = _resolve_cap(args)
 
     if args.self_test:
         reports = [self_test(args.rank, max(args.max_order, 2))]
     else:
-        oracle = args.oracle or "both"
-        use_ring = oracle in ("ring", "both")
+        use_ring = args.oracle != "tree"
         reports = verify(
             args.rank,
             args.max_order,
-            tree=oracle in ("tree", "both"),
             ring_max_order=args.ring_max_order if use_ring else 0,
-            support_cap=cap,
+            support_cap=args.support_cap,
         )
         if use_ring and args.rank == 1:
             print(
@@ -200,19 +178,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank", type=int, default=2, help="number of generators (default 2)")
+def _add_common(p: argparse.ArgumentParser, least_rank: int = 1) -> None:
+    p.add_argument(
+        "--rank", type=_at_least(least_rank), default=2, help="number of generators (default 2)"
+    )
     p.add_argument("--output", help="write data to this file instead of stdout")
 
 
 def _add_support_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--support-cap",
-        type=int,
-        default=None,
-        help=f"maximum stored terms for expansions (default {DEFAULT_SUPPORT_CAP}, "
-        "or FPMOM_SUPPORT_CAP)",
-    )
+    text = f"maximum stored terms for expansions (default {DEFAULT_SUPPORT_CAP})"
+    p.add_argument("--support-cap", type=_at_least(1), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,43 +199,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scalar", help="scalar moment series")
     _add_common(p)
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_at_least(1), required=True)
     p.add_argument("--format", choices=FORMATS, default="json")
     p.set_defaults(func=cmd_scalar)
 
+    # at rank 1 the canonical subgroup generator degenerates to the identity
     p = sub.add_parser("amalg", help="moment series over the canonical cyclic subgroup")
-    _add_common(p)
-    p.add_argument("--max-order", type=int, required=True)
+    _add_common(p, least_rank=2)
+    p.add_argument("--max-order", type=_at_least(1), required=True)
     p.add_argument("--format", choices=FORMATS, default="json")
     p.set_defaults(func=cmd_amalg)
 
     p = sub.add_parser("xdecomp", help="radial decomposition of one power")
     _add_common(p)
-    p.add_argument("--power", type=int, required=True)
+    p.add_argument("--power", type=_at_least(1), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_xdecomp)
 
     p = sub.add_parser("expand", help="brute-force word expansion of one power")
     _add_common(p)
     _add_support_cap(p)
-    p.add_argument("--power", type=int, required=True)
+    p.add_argument("--power", type=_at_least(0), required=True)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="run the recurrence against the oracles")
     _add_common(p)
     _add_support_cap(p)
-    p.add_argument("--max-order", type=int, default=8)
+    p.add_argument("--max-order", type=_at_least(1), default=8)
     p.add_argument(
         "--oracle",
-        choices=("ring", "tree", "both"),
-        default=None,
-        help="which oracles check the recurrence (default: both)",
+        choices=("tree", "both"),
+        help="tree: the tree oracle alone; both (default): the ring oracle too",
     )
     p.add_argument(
         "--ring-max-order",
-        type=int,
-        default=None,
-        help="orders covered by the ring oracle (default: the per-rank budget)",
+        type=_at_least(1),
+        help="orders covered by the ring oracle (default: the per-rank budget; "
+        "--oracle tree skips it)",
     )
     p.add_argument(
         "--self-test",

@@ -24,8 +24,9 @@ operations per order (``returning_walks``).  It is a different recurrence
 from the P-recurrence that ``fpmom.recurrence`` derives for the same
 numbers, so the check is not one recurrence written two ways.
 
-``verify`` checks the scalar moments of the P-recurrence against both
-oracles.  Up to the ring limit it walks one chain of radial
+``verify`` checks the scalar moments of the P-recurrence against the
+tree oracle to the requested order, and against the group ring up to
+the ring limit, which may be 0.  There it walks one chain of radial
 decompositions and expands each power of G once, checking its trace,
 its conditional expectation and its radiality from that single
 expansion; the radiality check also compares each of those powers with
@@ -157,7 +158,6 @@ def verify(
     rank: int,
     max_order: int,
     *,
-    tree: bool = True,
     ring_max_order: int | None = None,
     support_cap: int | None = None,
 ) -> list[DiffReport]:
@@ -171,8 +171,8 @@ def verify(
     paired with one group-ring expansion of the same power, whose trace,
     conditional expectation and per-length coefficients are all checked
     against it; its classes are also checked against the row recurrence.
-    Raises ``ValueError`` for a negative ring_max_order, or when neither
-    oracle would check any order.
+    ring_max_order=0 runs the tree oracle alone; a negative one raises
+    ``ValueError``.
 
     Returns ``[scalar, amalgamated, radiality]``, without the amalgamated
     report at rank 1 (no canonical subgroup), or just ``[scalar]`` when
@@ -185,46 +185,32 @@ def verify(
     else:
         _require_int("ring_max_order", ring_max_order, 0)
     ring_limit = min(ring_max_order, max_order)
-    if not tree and ring_limit < 1:
-        raise ValueError("verify needs the tree oracle or a ring limit >= 1")
-    covered = max_order if tree else ring_limit
-    scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{covered})")
-    reports = [scalar]
-    powers = amalgamated = radiality = None
-    if ring_limit:
-        powers = iter_powers(generating_operator(rank), ring_limit, support_cap)
-        if rank >= 2:
-            h = format_word(subgroup_word(rank))
-            amalgamated = DiffReport(
-                f"amalgamated moments (rank {rank}, subgroup <{h}>, "
-                f"orders 1..{ring_limit})"
-            )
-            reports.append(amalgamated)
-        radiality = DiffReport(f"radiality of powers (rank {rank}, orders 1..{ring_limit})")
-        reports.append(radiality)
+    scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{max_order})")
+    constants = list(_scalar_moments(rank, max_order))
+    # tree-walk mismatches come first in the scalar report
+    _compare_tree(scalar, returning_walks(rank, max_order), constants)
+    if not ring_limit:
+        return [scalar]
 
-    constants = list(_scalar_moments(rank, covered))
-    traces = []
-    if ring_limit:
-        for dec, (n, gn) in zip(iter_decompositions(rank, ring_limit), powers):
-            traces.append(gn.trace())
-            if amalgamated is not None:
-                expected = conditional_expectation(gn)
-                actual = amalgamated_projection(dec)
-                if expected != actual:
-                    amalgamated.record(f"order {n}: conditional expectation", expected, actual)
-            _check_radial(radiality, n, gn, dec)
-            _record_classes(
-                radiality, n, "row recurrence", dec.coeffs, decomposition_of(n, rank).coeffs
-            )
-
-    # The scalar report lists tree-walk mismatches before group-ring ones.
-    if tree:
-        _compare_tree(scalar, returning_walks(rank, max_order), constants)
-    for n, (expected, actual) in enumerate(zip(traces, constants), 1):
-        if expected != actual:
-            scalar.record(f"order {n}: group-ring trace", expected, actual)
-    return reports
+    orders = f"orders 1..{ring_limit}"
+    amalgamated = None
+    if rank >= 2:
+        h = format_word(subgroup_word(rank))
+        amalgamated = DiffReport(f"amalgamated moments (rank {rank}, subgroup <{h}>, {orders})")
+    radiality = DiffReport(f"radiality of powers (rank {rank}, {orders})")
+    powers = iter_powers(generating_operator(rank), ring_limit, support_cap)
+    for dec, (n, gn) in zip(iter_decompositions(rank, ring_limit), powers):
+        if gn.trace() != constants[n - 1]:
+            scalar.record(f"order {n}: group-ring trace", gn.trace(), constants[n - 1])
+        if amalgamated is not None:
+            expected = conditional_expectation(gn)
+            actual = amalgamated_projection(dec)
+            if expected != actual:
+                amalgamated.record(f"order {n}: conditional expectation", expected, actual)
+        _check_radial(radiality, n, gn, dec)
+        row = decomposition_of(n, rank).coeffs
+        _record_classes(radiality, n, "row recurrence", dec.coeffs, row)
+    return [r for r in (scalar, amalgamated, radiality) if r is not None]
 
 
 def _compare_tree(report: DiffReport, counts: list[int], constants: Iterable[int]) -> None:
@@ -237,9 +223,9 @@ def _compare_tree(report: DiffReport, counts: list[int], constants: Iterable[int
 def _check_radial(
     report: DiffReport, n: int, gn: RingElement, dec: RadialDecomposition
 ) -> None:
-    """Expanded G^n must be constant on each word-length class, and the
-    per-length constants must equal the recurrence coefficients, class
-    set included."""
+    """Expanded G^n must be constant on each word-length class, hold every
+    word of each class it touches, and its per-length constants must equal
+    the recurrence coefficients, class set included."""
     # Lengths come from the packed words' bit lengths; a word is unpacked
     # only to be named in a mismatch.
     k = _letter_bits(gn.rank)
@@ -254,6 +240,11 @@ def _check_radial(
                 f"{c} at {format_word(Word._of(w, gn.rank))}",
             )
             return
+    # distinct words of one length number at most the class size, so a
+    # short support means a word is missing
+    support = sum(reduced_word_count(m, gn.rank) for m in by_length)
+    if len(gn._terms) != support:
+        report.record(f"order {n}: support size", support, len(gn._terms))
     _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
 
 

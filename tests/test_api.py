@@ -220,6 +220,23 @@ def test_one_int_rule():
                 assert module.__name__ == "fpmom.words", module.__name__
 
 
+def test_cli_int_flags_use_at_least():
+    # every int flag of the CLI is parsed and checked by its argparse type
+    # _at_least; a bare type=int or a later _require(args.x >= n) would be a
+    # second check that a new flag could skip
+    import fpmom.cli
+
+    for node in ast.walk(ast.parse(inspect.getsource(fpmom.cli))):
+        if isinstance(node, ast.keyword) and node.arg == "type":
+            assert ast.unparse(node.value) != "int", node.lineno
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_require":
+            for compare in ast.walk(node.args[0]):
+                if isinstance(compare, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in compare.ops
+                ):
+                    assert "args." not in ast.unparse(compare), node.lineno
+
+
 def test_readme_quickstart():
     from fpmom import (
         conditional_expectation, generating_operator, subgroup_word,

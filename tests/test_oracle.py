@@ -125,13 +125,29 @@ def test_radiality_compares_the_chain_with_the_row_recurrence(monkeypatch):
 
 
 def test_verify_validation():
-    # with the tree oracle off, a run must check at least one ring order
     with pytest.raises(ValueError):
-        verify(2, 8, tree=False, ring_max_order=0)
-    with pytest.raises(ValueError):
-        verify(2, 8, tree=False, ring_max_order=-3)
+        verify(2, 8, ring_max_order=-3)
     with pytest.raises(ValueError):
         verify(2, 0)
+
+
+def test_radiality_catches_a_dropped_word(monkeypatch):
+    # a power missing one word of a class is still constant on the words it
+    # holds and keeps its per-length coefficients; only its support is short
+    real = fpmom.oracle.iter_powers
+
+    def dropping_iter_powers(*args, **kwargs):
+        for n, gn in real(*args, **kwargs):
+            if n == 4:
+                terms = dict(gn.terms)
+                del terms[parse_word("ab", 2)]
+                gn = RingElement(2, terms)
+            yield n, gn
+
+    monkeypatch.setattr(fpmom.oracle, "iter_powers", dropping_iter_powers)
+    scalar, amalgamated, radiality = verify(2, 4)
+    assert scalar.passed and amalgamated.passed
+    assert radiality.mismatches == [Mismatch("order 4: support size", "121", "120")]
 
 
 def test_verify_refuses_negative_ring_limit():
