@@ -26,11 +26,20 @@ import errno
 import json
 import os
 import sys
+from typing import Iterable
 
 from .recurrence import decomposition_of
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, generating_operator, power
 from .oracle import self_test, verify
-from .series import FORMATS, amalgamated_series, emit, scalar_series
+from .series import (
+    FORMATS,
+    amalgamated_rows,
+    emit,
+    scalar_series,
+    write_csv,
+    write_json,
+    write_series,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -100,27 +109,23 @@ def cmd_scalar(args: argparse.Namespace) -> int:
 
 
 def cmd_amalg(args: argparse.Namespace) -> int:
-    series = amalgamated_series(args.rank, args.max_order)
-    _write_output(args, emit(series, args.format))
+    rows = amalgamated_rows(args.rank, args.max_order)
+    _write_output(args, write_series(args.format, args.rank, "amalgamated", args.max_order, rows))
     return EXIT_OK
 
 
-def _xdecomp_payload(args: argparse.Namespace, rows: list[tuple[int, int]]) -> bytes:
+def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) -> bytes:
     if args.format == "json":
-        payload = {
-            "rank": args.rank,
-            "power": args.power,
-            "coeffs": [{"m": m, "coeff": str(c)} for m, c in rows],
-        }
-        return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-    lines = ["m,coefficient"]
-    lines.extend(f"{m},{c}" for m, c in rows)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        fields = {"rank": args.rank, "power": args.power}
+        text = write_json(fields, rows, names=("m", "coeff"), entries="coeffs")
+    else:
+        text = write_csv(rows, header="m,coefficient")
+    return text.encode("utf-8")
 
 
 def cmd_xdecomp(args: argparse.Namespace) -> int:
     dec = decomposition_of(args.power, args.rank)
-    rows = list(dec.rows())
+    rows = ((m, str(c)) for m, c in dec.rows())
     _write_output(args, _xdecomp_payload(args, rows))
     if args.rank == 2 and args.power == 8:
         print(

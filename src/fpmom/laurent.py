@@ -8,7 +8,8 @@ never stored.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from operator import add
+from typing import Callable, Mapping, Sequence
 
 __all__ = ["LaurentPolynomial"]
 
@@ -56,33 +57,19 @@ class LaurentPolynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self._coeffs.items()))
 
-    def _render(self, power: Callable[[int], str]) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[k]
-            base = power(k)
-            if not base:
-                term = str(abs(c))
-            elif abs(c) == 1:
-                term = base
-            else:
-                term = f"{abs(c)}{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+    def _spelled(self) -> tuple[list[int], list[str]]:
+        """Exponents ascending, and their coefficients spelled as decimals."""
+        items = self.items()
+        return [k for k, _ in items], [str(c) for _, c in items]
 
     def __str__(self) -> str:
-        return self._render(lambda k: "" if k == 0 else ("h" if k == 1 else f"h^{k}"))
+        return _signed_sum(*self._spelled(), _text_power)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({dict(self.items())!r})"
 
     def to_tex(self) -> str:
-        return self._render(lambda k: "" if k == 0 else ("h" if k == 1 else f"h^{{{k}}}"))
+        return _signed_sum(*self._spelled(), _tex_power)
 
     def to_pairs(self) -> list[dict[str, object]]:
         """JSON-ready pairs, exponents ascending, coefficients as decimal strings."""
@@ -90,4 +77,48 @@ class LaurentPolynomial:
 
     def to_csv_cell(self) -> str:
         """Semicolon-joined ``exponent:coefficient`` pairs, exponents ascending."""
-        return ";".join(f"{k}:{c}" for k, c in self.items())
+        return _csv_terms(*self._spelled(), _CSV_PREFIX)
+
+
+# The one spelling of a polynomial as text, as TeX and as a CSV cell,
+# shared by the methods above and the writers of ``fpmom.series``.  A
+# polynomial comes as its exponents, ascending, and its nonzero
+# coefficients spelled as decimals.  Each exponent's text comes from a
+# function of it, which a writer wraps in ``functools.cache`` for one run
+# so that it spells each exponent once.
+
+
+def _text_power(k: int) -> str:
+    return "" if k == 0 else ("h" if k == 1 else f"h^{k}")
+
+
+def _tex_power(k: int) -> str:
+    return "" if k == 0 else ("h" if k == 1 else f"h^{{{k}}}")
+
+
+_CSV_PREFIX = "{}:".format
+
+
+def _csv_terms(exps: Sequence[int], coeffs: Sequence[str], prefix: Callable[[int], str]) -> str:
+    """``k:c;k:c;...``, empty for zero; prefix spells ``k:``."""
+    return ";".join(map(add, map(prefix, exps), coeffs))
+
+
+def _signed_sum(exps: Sequence[int], coeffs: Sequence[str], power: Callable[[int], str]) -> str:
+    """Terms highest exponent first, joined by " + " and " - ", "0" for zero.
+
+    power spells h^k, and "" for k = 0; a coefficient of absolute value 1
+    is left out unless k = 0.
+    """
+    parts: list[str] = []
+    for k, c in zip(reversed(exps), reversed(coeffs)):
+        negative = c[0] == "-"
+        if negative:
+            c = c[1:]
+        base = power(k)
+        term = (base if c == "1" else c + base) if base else c
+        if parts:
+            parts.append(("- " if negative else "+ ") + term)
+        else:
+            parts.append("-" + term if negative else term)
+    return " ".join(parts) if parts else "0"

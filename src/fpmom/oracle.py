@@ -37,7 +37,6 @@ actually detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 from .recurrence import (
@@ -55,7 +54,7 @@ from .ring import (
     subgroup_word,
 )
 from .words import (
-    Word, _letter_bits, _packed_length, _require_int, format_word, reduced_word_count
+    Word, _letter_bits, _packed_lengths, _require_int, format_word, reduced_word_count
 )
 
 __all__ = [
@@ -74,12 +73,27 @@ class Mismatch(NamedTuple):
     actual: str
 
 
-@dataclass
 class DiffReport:
-    """Outcome of one verification run; passes when no mismatches were recorded."""
+    """Outcome of one verification run; passes when no mismatches were recorded.
 
-    subject: str
-    mismatches: list[Mismatch] = field(default_factory=list)
+    Two reports are equal when their subjects and mismatches are.
+    """
+
+    __slots__ = ("subject", "mismatches")
+
+    def __init__(self, subject: str, mismatches: list[Mismatch] | None = None):
+        self.subject = subject
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subject, self.mismatches) == (other.subject, other.mismatches)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DiffReport(subject={self.subject!r}, mismatches={self.mismatches!r})"
 
     @property
     def passed(self) -> bool:
@@ -226,12 +240,14 @@ def _check_radial(
     """Expanded G^n must be constant on each word-length class, hold every
     word of each class it touches, and its per-length constants must equal
     the recurrence coefficients, class set included."""
-    # Lengths come from the packed words' bit lengths; a word is unpacked
-    # only to be named in a mismatch.
-    k = _letter_bits(gn.rank)
+    # Lengths come from the packed words' bit lengths, through a table
+    # that reaches the longest word; a word is unpacked only to be named
+    # in a mismatch.
+    terms = gn._terms
+    lengths = _packed_lengths(max(terms, default=0).bit_length(), _letter_bits(gn.rank))
     by_length: dict[int, int] = {}
-    for w, c in gn._terms.items():
-        m = _packed_length(w, k)
+    for w, c in terms.items():
+        m = lengths[w.bit_length()]
         seen = by_length.setdefault(m, c)
         if seen != c:
             report.record(
@@ -243,8 +259,8 @@ def _check_radial(
     # distinct words of one length number at most the class size, so a
     # short support means a word is missing
     support = sum(reduced_word_count(m, gn.rank) for m in by_length)
-    if len(gn._terms) != support:
-        report.record(f"order {n}: support size", support, len(gn._terms))
+    if len(terms) != support:
+        report.record(f"order {n}: support size", support, len(terms))
     _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
 
 

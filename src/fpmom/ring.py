@@ -290,10 +290,10 @@ def subgroup_word(rank: int, k: int = 1) -> Word:
     h = Word(codes, rank=rank)
     base = (h if k >= 0 else h.inverse())._packed
     step = 2 * rank * _letter_bits(rank)
-    w = 0
-    for _ in range(abs(k)):
-        w = (w << step) | base
-    return Word._of(w, rank)
+    # base repeated |k| times: base times the repunit 1 + 2^step + 2^(2 step) + ...,
+    # whose division by a divisor of a few machine words takes linear time
+    repunit = ((1 << step * abs(k)) - 1) // ((1 << step) - 1)
+    return Word._of(base * repunit, rank)
 
 
 def conditional_expectation(x: RingElement) -> LaurentPolynomial:

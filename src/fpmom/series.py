@@ -1,16 +1,29 @@
-"""Moment series containers and their serialized forms (json, csv, tex).
+"""Moment series, and one writer per output format (json, csv, tex).
 
-All coefficients are exact; big integers are emitted as decimal strings
+All coefficients are exact; big integers are written as decimal strings
 so JSON consumers never round.  Output is deterministic byte for byte.
+
+A writer takes rows (label, cell).  A cell is either one value spelled
+as a decimal string, or a Laurent polynomial as (exps, coeffs): its
+exponents, ascending, and its nonzero coefficients spelled as decimals.
+Writers spell only labels and exponents, each exponent's text once per
+run (through ``functools.cache``).  ``emit`` feeds them a
+``MomentSeries``.  ``amalgamated_rows`` feeds them E(G^n) straight from
+the chain's classes, spelling each coefficient once for both h^k and
+h^-k, with no ``LaurentPolynomial`` or ``MomentSeries`` on the way;
+``fpmom amalg`` writes through it, and ``fpmom xdecomp`` feeds its rows
+to ``write_json`` and ``write_csv``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from functools import cache
+from operator import add
+from typing import Iterable, Iterator, Sequence, Union
 
 from ._version import TOOL_VERSION
-from .laurent import LaurentPolynomial
+from .laurent import _CSV_PREFIX, LaurentPolynomial, _csv_terms, _signed_sum, _tex_power
 from .recurrence import _scalar_moments, amalgamated_projection, iter_decompositions
 from .words import _require_int
 
@@ -18,34 +31,41 @@ __all__ = [
     "MomentSeries",
     "scalar_series",
     "amalgamated_series",
+    "amalgamated_rows",
+    "write_json",
+    "write_csv",
+    "write_tex",
+    "write_series",
     "emit",
     "FORMATS",
 ]
 
 FORMATS = ("json", "csv", "tex")
 
+_JSON_PREFIX = '{{"exp":{},"coeff":"'.format
 
-@dataclass(frozen=True)
+Row = tuple[int, Union[str, tuple[Sequence[int], Sequence[str]]]]
+
+
 class MomentSeries:
     """Moments of G^n for n = 1..max_order; ``values[n - 1]`` is order n.
 
     ``kind`` is "scalar" (integer values) or "amalgamated" (Laurent
     polynomial values).  There is at least one value, and odd orders are
-    zero.
+    zero.  The fields are read-only; two series are equal when their
+    rank, kind and values are.
     """
 
-    rank: int
-    kind: str
-    values: tuple[int | LaurentPolynomial, ...]
+    __slots__ = ("rank", "kind", "values")
 
-    def __post_init__(self):
-        if self.kind not in ("scalar", "amalgamated"):
-            raise ValueError(f"kind must be 'scalar' or 'amalgamated', got {self.kind!r}")
-        _require_int("rank", self.rank, 2 if self.kind == "amalgamated" else 1)
-        if not self.values:
+    def __init__(self, rank: int, kind: str, values: tuple[int | LaurentPolynomial, ...]):
+        if kind not in ("scalar", "amalgamated"):
+            raise ValueError(f"kind must be 'scalar' or 'amalgamated', got {kind!r}")
+        _require_int("rank", rank, 2 if kind == "amalgamated" else 1)
+        if not values:
             raise ValueError("a moment series needs at least order 1")
-        for n, value in enumerate(self.values, 1):
-            if self.kind == "scalar":
+        for n, value in enumerate(values, 1):
+            if kind == "scalar":
                 if type(value) is not int:
                     raise TypeError(f"scalar value at order {n} must be an int")
                 vanishes = value == 0
@@ -55,6 +75,25 @@ class MomentSeries:
                 vanishes = value.is_zero
             if n % 2 and not vanishes:
                 raise ValueError(f"odd-order moment at {n} must vanish")
+        for name, field in (("rank", rank), ("kind", kind), ("values", values)):
+            object.__setattr__(self, name, field)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a MomentSeries")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a MomentSeries")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.kind, self.values) == (other.rank, other.kind, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.kind, self.values))
+
+    def __repr__(self) -> str:
+        return f"MomentSeries(rank={self.rank!r}, kind={self.kind!r}, values={self.values!r})"
 
     @property
     def max_order(self) -> int:
@@ -81,58 +120,103 @@ def amalgamated_series(rank: int, max_order: int) -> MomentSeries:
     return MomentSeries(rank, "amalgamated", values)
 
 
-def _entry_json(kind: str, value: int | LaurentPolynomial):
-    if kind == "scalar":
-        return str(value)
-    return value.to_pairs()
+def amalgamated_rows(rank: int, max_order: int) -> Iterator[Row]:
+    """The rows of ``amalgamated_series(rank, max_order)``, straight from the chain.
+
+    Row n carries E(G^n) = sum over k of c_(2N|k|) h^k, the classes of
+    G^n whose length is a multiple of 2N (``amalgamated_projection``).
+    Each |k| is spelled once and serves h^k and h^-k.
+    """
+    _require_int("rank", rank, 2)
+    _require_int("max_order", max_order, 1)
+    for d in iter_decompositions(rank, max_order):
+        if d.power % 2:
+            yield d.power, ((), ())
+            continue
+        spelled = [str(c) for c in d.classes[::rank]]
+        top = len(spelled) - 1
+        yield d.power, (range(-top, top + 1), spelled[:0:-1] + spelled)
 
 
-def _render_json(series: MomentSeries) -> str:
-    payload = {
-        "rank": series.rank,
-        "kind": series.kind,
-        "max_order": series.max_order,
-        "provenance": "recurrence",
-        "tool_version": TOOL_VERSION,
-        "entries": [
-            {"n": n, "value": _entry_json(series.kind, v)}
-            for n, v in enumerate(series.values, 1)
-        ],
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+def write_json(
+    fields: dict[str, int | str],
+    rows: Iterable[Row],
+    names: tuple[str, str] = ("n", "value"),
+    entries: str = "entries",
+) -> str:
+    """One line of JSON: the object ``fields``, then the list ``entries``
+    holding ``{names[0]: label, names[1]: cell}`` per row.  A decimal cell
+    is a JSON string, a polynomial a list of ``{"exp":k,"coeff":"c"}``."""
+    label, value = names
+    prefix = cache(_JSON_PREFIX)
+    parts = [json.dumps(fields, separators=(",", ":"))[:-1], f',"{entries}":[']
+    sep = ""
+    for n, cell in rows:
+        head = f'{sep}{{"{label}":{n},"{value}":'
+        sep = ","
+        if type(cell) is str:
+            parts.append(f'{head}"{cell}"}}')
+        elif cell[1]:
+            exps, coeffs = cell
+            parts.append(head + "[")
+            parts.append('"},'.join(map(add, map(prefix, exps), coeffs)))
+            parts.append('"}]}')
+        else:
+            parts.append(head + "[]}")
+    parts.append("]}\n")
+    return "".join(parts)
 
 
-def _render_csv(series: MomentSeries) -> str:
-    lines = ["n,value"]
-    for n, v in enumerate(series.values, 1):
-        cell = str(v) if series.kind == "scalar" else v.to_csv_cell()
-        lines.append(f"{n},{cell}")
-    return "\n".join(lines) + "\n"
+def write_csv(rows: Iterable[Row], header: str = "n,value") -> str:
+    """``header``, then ``label,cell`` per row; a polynomial cell is
+    ``k:c;k:c;...``, empty for zero."""
+    prefix = cache(_CSV_PREFIX)
+    parts = [header]
+    for n, cell in rows:
+        parts.append(f"\n{n},")
+        parts.append(cell if type(cell) is str else _csv_terms(*cell, prefix))
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _render_tex(series: MomentSeries) -> str:
-    lines = [
-        r"\begin{tabular}{rl}",
-        r"\hline",
-        r"$n$ & moment \\",
-        r"\hline",
-    ]
-    for n, v in enumerate(series.values, 1):
-        cell = str(v) if series.kind == "scalar" else v.to_tex()
-        lines.append(f"${n}$ & ${cell}$ \\\\")
-    lines.append(r"\hline")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
+def write_tex(rows: Iterable[Row]) -> str:
+    """A two-column tabular, ``$label$ & $cell$`` per row; a polynomial
+    cell is its terms in h, highest power first."""
+    power = cache(_tex_power)
+    parts = ["\\begin{tabular}{rl}\n\\hline\n$n$ & moment \\\\\n\\hline\n"]
+    for n, cell in rows:
+        parts.append(f"${n}$ & $")
+        parts.append(cell if type(cell) is str else _signed_sum(*cell, power))
+        parts.append("$ \\\\\n")
+    parts.append("\\hline\n\\end{tabular}\n")
+    return "".join(parts)
+
+
+def write_series(fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[Row]) -> bytes:
+    """The rows of a moment series (orders 1..max_order) as UTF-8 bytes in
+    one of FORMATS; ``emit`` of the same series gives the same bytes."""
+    if fmt == "json":
+        fields = {
+            "rank": rank,
+            "kind": kind,
+            "max_order": max_order,
+            "provenance": "recurrence",
+            "tool_version": TOOL_VERSION,
+        }
+        text = write_json(fields, rows)
+    elif fmt == "csv":
+        text = write_csv(rows)
+    elif fmt == "tex":
+        text = write_tex(rows)
+    else:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return text.encode("utf-8")
 
 
 def emit(series: MomentSeries, fmt: str) -> bytes:
     """Serialize a series to UTF-8 bytes in one of FORMATS."""
-    if fmt == "json":
-        text = _render_json(series)
-    elif fmt == "csv":
-        text = _render_csv(series)
-    elif fmt == "tex":
-        text = _render_tex(series)
+    if series.kind == "scalar":
+        cells = map(str, series.values)
     else:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    return text.encode("utf-8")
+        cells = (v._spelled() for v in series.values)
+    return write_series(fmt, series.rank, series.kind, series.max_order, enumerate(cells, 1))

@@ -7,7 +7,10 @@ import ast
 import doctest
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,7 +144,10 @@ def test_traced_ring_calls(monkeypatch):
 
 
 # fpmom.words defines the packed word format; other modules import these
-PACKED_FORMAT_HELPERS = {"_letter_bits", "_inverse_digit", "_packed_length", "_speller", "_level"}
+PACKED_FORMAT_HELPERS = {
+    "_letter_bits", "_inverse_digit", "_packed_length", "_packed_lengths", "_blocks",
+    "_digits", "_pack", "_speller", "_level",
+}
 
 
 def test_words_owns_the_packed_format():
@@ -235,6 +241,21 @@ def test_cli_int_flags_use_at_least():
                     isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in compare.ops
                 ):
                     assert "args." not in ast.unparse(compare), node.lineno
+
+
+def test_cli_starts_without_dataclasses():
+    # every CLI job pays for its imports, from source when bytecode is not
+    # written; dataclasses alone pulls in inspect, ast, dis and tokenize
+    src = str(Path(fpmom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, fpmom.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_quickstart():

@@ -9,6 +9,7 @@ import pytest
 
 import fpmom
 import fpmom.oracle
+import fpmom.series
 from fpmom.cli import main
 from fpmom.ring import iter_powers
 
@@ -310,6 +311,18 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "amalg", "--rank", "2", "--max-order", "8")
     second = run(capsys, "amalg", "--rank", "2", "--max-order", "8")
     assert first == second
+
+
+@pytest.mark.parametrize("fmt", fpmom.series.FORMATS)
+@pytest.mark.parametrize("rank", range(2, 8))
+def test_amalg_writes_what_emit_writes(capsys, rank, fmt):
+    # amalg writes straight from the chain; emit writes a built series
+    for max_order in range(1, 61):
+        code, out, _ = run(capsys, "amalg", "--rank", str(rank), "--max-order",
+                           str(max_order), "--format", fmt)
+        assert code == 0
+        expected = fpmom.emit(fpmom.amalgamated_series(rank, max_order), fmt)
+        assert out.encode("utf-8") == expected, max_order
 
 
 def _kesten(rank, k_max):

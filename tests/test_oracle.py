@@ -256,3 +256,29 @@ def test_radiality_check_names_the_odd_word():
     assert [tuple(m) for m in report.mismatches] == [
         ("order 3, length 3: coefficient constancy", "uniform coefficient 1", "2 at BBB")
     ]
+
+
+def test_radiality_names_a_word_past_the_power():
+    # the length table reaches the longest word present, so a word longer
+    # than the power is a class of its own, not an index error
+    g3 = power(generating_operator(2), 3)
+    terms = dict(g3.terms)
+    terms[parse_word("aaaaa", 2)] = 3
+    report = DiffReport("radiality")
+    _check_radial(report, 3, RingElement(2, terms), decomposition_of(3, 2))
+    assert report.mismatches == [
+        Mismatch("order 3: support size", "364", "41"),
+        Mismatch("order 3, length 5: radial coefficient", "0", "3"),
+    ]
+
+
+def test_diff_report_is_a_plain_value():
+    a, b = DiffReport("x"), DiffReport("x")
+    a.record("here", 1, 2)
+    assert b.mismatches == []  # each report has its own list
+    assert a != b and a == DiffReport("x", [Mismatch("here", "1", "2")])
+    assert DiffReport("x") != DiffReport("y")
+    assert repr(a) == "DiffReport(subject='x', mismatches=[Mismatch(location='here', " \
+        "expected='1', actual='2')])"
+    with pytest.raises(TypeError):
+        hash(a)

@@ -188,3 +188,71 @@ def test_big_values_survive_json():
     back = json.loads(blob)["entries"][39]
     assert back == {"n": 40, "value": str(s.value(40))}
     assert s.value(40) > 10**18  # needs exact big-int handling
+
+
+# emit's bytes for hand-built series with negative, asymmetric and +-1
+# coefficients, recorded while each format still had its own renderer
+HAND_BUILT = {
+    "amalgamated": MomentSeries(3, "amalgamated", (
+        LaurentPolynomial(),
+        LaurentPolynomial({-2: -1, 0: 5, 3: 1, 7: -12}),
+        LaurentPolynomial(),
+        LaurentPolynomial({1: -1}),
+        LaurentPolynomial(),
+        LaurentPolynomial({-1: 1, 0: -1, 2: 10**20}),
+        LaurentPolynomial(),
+        LaurentPolynomial({0: 1}),
+    )),
+    "scalar": MomentSeries(1, "scalar", (0, -4, 0, 1, 0, -(10**21))),
+}
+HAND_BUILT_BYTES = {
+    ("amalgamated", "json"):
+        b'{"rank":3,"kind":"amalgamated","max_order":8,"provenance":"recurrence",'
+        b'"tool_version":"0.1.0","entries":[{"n":1,"value":[]},{"n":2,"value":'
+        b'[{"exp":-2,"coeff":"-1"},{"exp":0,"coeff":"5"},{"exp":3,"coeff":"1"},'
+        b'{"exp":7,"coeff":"-12"}]},{"n":3,"value":[]},{"n":4,"value":'
+        b'[{"exp":1,"coeff":"-1"}]},{"n":5,"value":[]},{"n":6,"value":'
+        b'[{"exp":-1,"coeff":"1"},{"exp":0,"coeff":"-1"},'
+        b'{"exp":2,"coeff":"100000000000000000000"}]},{"n":7,"value":[]},'
+        b'{"n":8,"value":[{"exp":0,"coeff":"1"}]}]}\n',
+    ("amalgamated", "csv"):
+        b"n,value\n1,\n2,-2:-1;0:5;3:1;7:-12\n3,\n4,1:-1\n5,\n"
+        b"6,-1:1;0:-1;2:100000000000000000000\n7,\n8,0:1\n",
+    ("amalgamated", "tex"):
+        b"\\begin{tabular}{rl}\n\\hline\n$n$ & moment \\\\\n\\hline\n$1$ & $0$ \\\\\n"
+        b"$2$ & $-12h^{7} + h^{3} + 5 - h^{-2}$ \\\\\n$3$ & $0$ \\\\\n$4$ & $-h$ \\\\\n"
+        b"$5$ & $0$ \\\\\n$6$ & $100000000000000000000h^{2} - 1 + h^{-1}$ \\\\\n"
+        b"$7$ & $0$ \\\\\n$8$ & $1$ \\\\\n\\hline\n\\end{tabular}\n",
+    ("scalar", "json"):
+        b'{"rank":1,"kind":"scalar","max_order":6,"provenance":"recurrence",'
+        b'"tool_version":"0.1.0","entries":[{"n":1,"value":"0"},{"n":2,"value":"-4"},'
+        b'{"n":3,"value":"0"},{"n":4,"value":"1"},{"n":5,"value":"0"},'
+        b'{"n":6,"value":"-1000000000000000000000"}]}\n',
+    ("scalar", "csv"): b"n,value\n1,0\n2,-4\n3,0\n4,1\n5,0\n6,-1000000000000000000000\n",
+    ("scalar", "tex"):
+        b"\\begin{tabular}{rl}\n\\hline\n$n$ & moment \\\\\n\\hline\n$1$ & $0$ \\\\\n"
+        b"$2$ & $-4$ \\\\\n$3$ & $0$ \\\\\n$4$ & $1$ \\\\\n$5$ & $0$ \\\\\n"
+        b"$6$ & $-1000000000000000000000$ \\\\\n\\hline\n\\end{tabular}\n",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(HAND_BUILT_BYTES))
+def test_emit_keeps_its_bytes(kind, fmt):
+    assert emit(HAND_BUILT[kind], fmt) == HAND_BUILT_BYTES[kind, fmt]
+
+
+def test_moment_series_is_a_read_only_value():
+    s = scalar_series(2, 4)
+    for name in ("rank", "kind", "values"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s == MomentSeries(2, "scalar", (0, 4, 0, 28))
+    assert s != MomentSeries(3, "scalar", (0, 4, 0, 28))
+    assert s != (2, "scalar", (0, 4, 0, 28))
+    assert hash(s) == hash(MomentSeries(rank=2, kind="scalar", values=(0, 4, 0, 28)))
+    assert repr(s) == "MomentSeries(rank=2, kind='scalar', values=(0, 4, 0, 28))"
+    assert len({s, scalar_series(2, 4), amalgamated_series(2, 4)}) == 2
