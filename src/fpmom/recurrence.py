@@ -245,11 +245,17 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     """
     _require_subgroup(dec.rank)
     coeffs: dict[int, int] = {}
-    if dec.power % 2 == 0:
-        for k, c in enumerate(dec.classes[:: dec.rank]):
-            coeffs[k] = c
-            coeffs[-k] = c
+    for k, c in enumerate(_subgroup_classes(dec)):
+        coeffs[k] = c
+        coeffs[-k] = c
     return LaurentPolynomial(coeffs)
+
+
+def _subgroup_classes(dec: RadialDecomposition) -> list[int]:
+    """The coefficients of h^0, h^1, h^2, ... in the projection of G^n,
+    which h^-k shares with h^k: the classes of length 2N k, at index N k
+    of ``dec.classes``.  Empty for odd powers."""
+    return [] if dec.power % 2 else dec.classes[:: dec.rank]
 
 
 def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:

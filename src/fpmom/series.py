@@ -24,7 +24,13 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from ._version import TOOL_VERSION
 from .laurent import _CSV_PREFIX, LaurentPolynomial, _csv_terms, _signed_sum, _tex_power
-from .recurrence import _scalar_moments, amalgamated_projection, iter_decompositions
+from .recurrence import (
+    RadialDecomposition,
+    _scalar_moments,
+    _subgroup_classes,
+    amalgamated_projection,
+    iter_decompositions,
+)
 from .words import _require_int
 
 __all__ = [
@@ -57,6 +63,7 @@ class MomentSeries:
     """
 
     __slots__ = ("rank", "kind", "values")
+    __match_args__ = ("rank", "kind", "values")
 
     def __init__(self, rank: int, kind: str, values: tuple[int | LaurentPolynomial, ...]):
         if kind not in ("scalar", "amalgamated"):
@@ -83,6 +90,11 @@ class MomentSeries:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of a MomentSeries")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the series through __init__, since
+        # __setattr__ refuses the slot-by-slot restore
+        return (self.__class__, (self.rank, self.kind, self.values))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -125,17 +137,18 @@ def amalgamated_rows(rank: int, max_order: int) -> Iterator[Row]:
 
     Row n carries E(G^n) = sum over k of c_(2N|k|) h^k, the classes of
     G^n whose length is a multiple of 2N (``amalgamated_projection``).
-    Each |k| is spelled once and serves h^k and h^-k.
+    Each |k| is spelled once and serves h^k and h^-k.  The arguments are
+    checked at the call; the rows come as they are read.
     """
     _require_int("rank", rank, 2)
     _require_int("max_order", max_order, 1)
-    for d in iter_decompositions(rank, max_order):
-        if d.power % 2:
-            yield d.power, ((), ())
-            continue
-        spelled = [str(c) for c in d.classes[::rank]]
-        top = len(spelled) - 1
-        yield d.power, (range(-top, top + 1), spelled[:0:-1] + spelled)
+    return map(_amalgamated_row, iter_decompositions(rank, max_order))
+
+
+def _amalgamated_row(d: RadialDecomposition) -> Row:
+    spelled = [str(c) for c in _subgroup_classes(d)]
+    top = len(spelled) - 1
+    return d.power, (range(-top, top + 1), spelled[:0:-1] + spelled)
 
 
 def write_json(

@@ -62,58 +62,6 @@ def _packed_length(w: int, k: int) -> int:
     return -(-w.bit_length() // k)
 
 
-def _packed_lengths(bits: int, k: int) -> list[int]:
-    """``_packed_length`` as a table: entry b is the length of a word of
-    bit length b, for b = 0..bits."""
-    return [-(-b // k) for b in range(bits + 1)]
-
-
-# Long words are cut into blocks of _BLOCK letters, so that peeling a
-# letter shifts a small int, not the whole word.  A block of 8j letters
-# fills exactly jk bytes, so the blocks come from one to_bytes.
-_BLOCK = 64
-
-
-def _blocks(w: int, k: int) -> list[int]:
-    """The packed word w in blocks of _BLOCK letters, last letters first,
-    in time linear in its length; a word of at most _BLOCK letters is
-    one block.  Only the last block can hold fewer than _BLOCK letters."""
-    if not w >> _BLOCK * k:
-        return [w]
-    size = _BLOCK * k // 8
-    data = w.to_bytes(-(-w.bit_length() // 8), "little")
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-
-
-def _digits(w: int, k: int) -> list[int]:
-    """The digits of the packed word w, last letter first."""
-    mask = (1 << k) - 1
-    digits = []
-    for b in _blocks(w, k):
-        while b:
-            digits.append(b & mask)
-            b >>= k
-    return digits
-
-
-def _pack(digits: list[int], k: int) -> int:
-    """The packed word of digits given first letter first, in time linear
-    in its length; the inverse of ``_digits`` read backwards."""
-    if len(digits) <= _BLOCK:
-        w = 0
-        for d in digits:
-            w = (w << k) | d
-        return w
-    size = _BLOCK * k // 8
-    chunks = []
-    for end in range(len(digits), 0, -_BLOCK):  # the last letters first
-        b = 0
-        for d in digits[max(end - _BLOCK, 0) : end]:
-            b = (b << k) | d
-        chunks.append(b.to_bytes(size, "little"))
-    return int.from_bytes(b"".join(chunks), "little")
-
-
 class Word:
     """An immutable reduced word over the generators of a free group.
 
@@ -133,7 +81,9 @@ class Word:
 
     def __init__(self, letters: Iterable[int] = (), *, rank: int):
         _require_int("rank", rank, 1)
-        digits: list[int] = []  # reduced so far, first letter first
+        k = _letter_bits(rank)
+        mask = (1 << k) - 1
+        w = 0
         for code in letters:
             if type(code) is not int:
                 raise TypeError(f"letter codes must be int, got {type(code).__name__}")
@@ -142,11 +92,8 @@ class Word:
             if abs(code) > rank:
                 raise ValueError(f"generator {abs(code)} is beyond rank {rank}")
             d = 2 * code - 1 if code > 0 else -2 * code
-            if digits and digits[-1] == _inverse_digit(d):
-                digits.pop()
-            else:
-                digits.append(d)
-        self._packed = _pack(digits, _letter_bits(rank))
+            w = w >> k if w & mask == _inverse_digit(d) else (w << k) | d
+        self._packed = w
         self._rank = rank
 
     @classmethod
@@ -168,9 +115,15 @@ class Word:
     @property
     def codes(self) -> tuple[int, ...]:
         """Signed-integer encoding: +i for the i-th generator, -i for its inverse."""
-        digits = _digits(self._packed, _letter_bits(self._rank))
-        digits.reverse()
-        return tuple([d + 1 >> 1 if d & 1 else -(d >> 1) for d in digits])
+        k = _letter_bits(self._rank)
+        mask = (1 << k) - 1
+        w = self._packed
+        codes = []
+        while w:
+            d = w & mask
+            codes.append(d + 1 >> 1 if d & 1 else -(d >> 1))
+            w >>= k
+        return tuple(reversed(codes))
 
     @property
     def is_identity(self) -> bool:
@@ -189,9 +142,12 @@ class Word:
 
     def inverse(self) -> "Word":
         k = _letter_bits(self._rank)
-        # the last letter, inverted, is the inverse's first
-        digits = [_inverse_digit(d) for d in _digits(self._packed, k)]
-        return Word._of(_pack(digits, k), self._rank)
+        mask = (1 << k) - 1
+        v, w = self._packed, 0
+        while v:
+            w = (w << k) | _inverse_digit(v & mask)
+            v >>= k
+        return Word._of(w, self._rank)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -276,12 +232,10 @@ def _speller(rank: int) -> tuple[list[str], list[str], Callable[[int], str]]:
 
     def spell(w: int) -> str:
         letters = []
-        for b in _blocks(w, k):
-            while b:
-                letters.append(pieces[b & mask])
-                b >>= k
-        letters.reverse()
-        return sep.join(letters)
+        while w:
+            letters.append(pieces[w & mask])
+            w >>= k
+        return sep.join(reversed(letters))
 
     return lone, tails, spell
 

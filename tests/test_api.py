@@ -144,10 +144,7 @@ def test_traced_ring_calls(monkeypatch):
 
 
 # fpmom.words defines the packed word format; other modules import these
-PACKED_FORMAT_HELPERS = {
-    "_letter_bits", "_inverse_digit", "_packed_length", "_packed_lengths", "_blocks",
-    "_digits", "_pack", "_speller", "_level",
-}
+PACKED_FORMAT_HELPERS = {"_letter_bits", "_inverse_digit", "_packed_length", "_speller", "_level"}
 
 
 def test_words_owns_the_packed_format():

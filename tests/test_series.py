@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -6,6 +8,7 @@ from fpmom.laurent import LaurentPolynomial
 from fpmom.recurrence import amalgamated_moment
 from fpmom.series import (
     MomentSeries,
+    amalgamated_rows,
     amalgamated_series,
     emit,
     scalar_series,
@@ -256,3 +259,21 @@ def test_moment_series_is_a_read_only_value():
     assert hash(s) == hash(MomentSeries(rank=2, kind="scalar", values=(0, 4, 0, 28)))
     assert repr(s) == "MomentSeries(rank=2, kind='scalar', values=(0, 4, 0, 28))"
     assert len({s, scalar_series(2, 4), amalgamated_series(2, 4)}) == 2
+
+
+@pytest.mark.parametrize("series", [scalar_series(2, 4), amalgamated_series(3, 6)])
+def test_moment_series_copies_pickles_and_matches(series):
+    for twin in (copy.copy(series), copy.deepcopy(series), pickle.loads(pickle.dumps(series))):
+        assert twin == series and hash(twin) == hash(series)
+    match series:
+        case MomentSeries(rank, kind, values):
+            assert (rank, kind, values) == (series.rank, series.kind, series.values)
+        case _:
+            pytest.fail("MomentSeries did not match its positional pattern")
+
+
+@pytest.mark.parametrize("rank,max_order", [(1, 5), (2, 0), (2.0, 5), (2, True)])
+def test_amalgamated_rows_checks_at_the_call(rank, max_order):
+    # the rows come lazily, but bad arguments raise before the first one
+    with pytest.raises((TypeError, ValueError)):
+        amalgamated_rows(rank, max_order)
