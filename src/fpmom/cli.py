@@ -11,7 +11,12 @@ Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including an --output
 that cannot be written; a missing parent directory or a directory is
 refused before any computation), 3 resource cap hit.
-Each int flag is checked once, by its argparse type `_at_least`.
+Each subcommand's flags are declared once, in the table `_COMMANDS`.  `main`
+reads a canonical argv (a command, then each flag at most once as
+``--flag value``) straight off that table, so a plain run never imports
+argparse; any other argv goes to the argparse parser that `build_parser`
+builds from the same table, which alone writes help, usage and errors.
+Each int flag is checked once, by its type `_at_least`, on either path.
 `expand` and `verify` expand powers of G in the group ring, and
 --support-cap bounds their stored terms.  `verify --oracle tree` runs the
 tree oracle alone and expands nothing, so it refuses --ring-max-order and
@@ -21,12 +26,12 @@ tree oracle alone and expands nothing, so it refuses --ring-max-order and
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
-from typing import Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable
 
 from .recurrence import decomposition_of
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, generating_operator, power
@@ -34,12 +39,14 @@ from .oracle import self_test, verify
 from .series import (
     FORMATS,
     amalgamated_rows,
-    emit,
     scalar_series,
     write_csv,
     write_json,
     write_series,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,13 +64,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _at_least(least: int):
-    """The argparse type of every int flag: an int, at least least; anything
-    else exits 2 with the flag named."""
+    """The type of every int flag: an int, at least least; anything else
+    exits 2 with the flag named."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+            from argparse import ArgumentTypeError
+
+            raise ArgumentTypeError(f"must be >= {least}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names it in "invalid int value"
@@ -91,20 +100,21 @@ def _check_output(args: argparse.Namespace) -> None:
     raise _UsageError(f"cannot write {path}: {os.strerror(err)}")
 
 
-def _write_output(args: argparse.Namespace, data: bytes) -> None:
+def _write_output(args: argparse.Namespace, text: str) -> None:
     if args.output:
         try:
-            with open(args.output, "wb") as fh:
-                fh.write(data)
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.output}: {exc.strerror}")
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(text)
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:
     series = scalar_series(args.rank, args.max_order)
-    _write_output(args, emit(series, args.format))
+    rows = enumerate(map(str, series.values), 1)
+    _write_output(args, write_series(args.format, args.rank, "scalar", args.max_order, rows))
     return EXIT_OK
 
 
@@ -114,13 +124,11 @@ def cmd_amalg(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) -> bytes:
+def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) -> str:
     if args.format == "json":
         fields = {"rank": args.rank, "power": args.power}
-        text = write_json(fields, rows, names=("m", "coeff"), entries="coeffs")
-    else:
-        text = write_csv(rows, header="m,coefficient")
-    return text.encode("utf-8")
+        return write_json(fields, rows, names=("m", "coeff"), entries="coeffs")
+    return write_csv(rows, header="m,coefficient")
 
 
 def cmd_xdecomp(args: argparse.Namespace) -> int:
@@ -138,9 +146,9 @@ def cmd_xdecomp(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    # no name holds the element, so it is freed before its text is encoded
+    # no name holds the element, so it is freed before its text is written
     text = power(generating_operator(args.rank), args.power, args.support_cap).to_json()
-    _write_output(args, text.encode("utf-8"))
+    _write_output(args, text)
     return EXIT_OK
 
 
@@ -179,86 +187,145 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({len(report.mismatches)} mismatches)",
             file=sys.stderr,
         )
-    _write_output(args, ("\n".join(out_lines) + "\n").encode("utf-8"))
+    _write_output(args, "\n".join(out_lines) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
-def _add_common(p: argparse.ArgumentParser, least_rank: int = 1) -> None:
-    p.add_argument(
-        "--rank", type=_at_least(least_rank), default=2, help="number of generators (default 2)"
+def _common(least_rank: int = 1) -> tuple:
+    return (
+        ("--rank", _at_least(least_rank), 2, False, "number of generators (default 2)"),
+        ("--output", str, None, False, "write data to this file instead of stdout"),
     )
-    p.add_argument("--output", help="write data to this file instead of stdout")
 
 
-def _add_support_cap(p: argparse.ArgumentParser) -> None:
-    text = f"maximum stored terms for expansions (default {DEFAULT_SUPPORT_CAP})"
-    p.add_argument("--support-cap", type=_at_least(1), help=text)
+_SUPPORT_CAP = ("--support-cap", _at_least(1), None, False,
+                f"maximum stored terms for expansions (default {DEFAULT_SUPPORT_CAP})")
+_MAX_ORDER = ("--max-order", _at_least(1), None, True, None)
+
+# Each subcommand's help and flags, in help order.  A flag is (flag, kind,
+# default, required, help), where kind is an `_at_least` type, a tuple of
+# choices, str, or bool for a switch; its dest is the flag's name with
+# "-" as "_", as argparse spells it.  Each command runs `cmd_<command>`,
+# looked up when the command is read, so a rebound name is the one called.
+_COMMANDS = {
+    "scalar": (
+        "scalar moment series",
+        (*_common(), _MAX_ORDER, ("--format", FORMATS, "json", False, None)),
+    ),
+    # at rank 1 the canonical subgroup generator degenerates to the identity
+    "amalg": (
+        "moment series over the canonical cyclic subgroup",
+        (*_common(least_rank=2), _MAX_ORDER, ("--format", FORMATS, "json", False, None)),
+    ),
+    "xdecomp": (
+        "radial decomposition of one power",
+        (
+            *_common(),
+            ("--power", _at_least(1), None, True, None),
+            ("--format", ("csv", "json"), "csv", False, None),
+        ),
+    ),
+    "expand": (
+        "brute-force word expansion of one power",
+        (*_common(), _SUPPORT_CAP, ("--power", _at_least(0), None, True, None)),
+    ),
+    "verify": (
+        "run the recurrence against the oracles",
+        (
+            *_common(),
+            _SUPPORT_CAP,
+            ("--max-order", _at_least(1), 8, False, None),
+            ("--oracle", ("tree", "both"), None, False,
+             "tree: the tree oracle alone; both (default): the ring oracle too"),
+            ("--ring-max-order", _at_least(1), None, False,
+             "orders covered by the ring oracle (default: the per-rank budget; "
+             "--oracle tree skips it)"),
+            ("--self-test", bool, False, False,
+             "inject one fault and confirm verification catches it (exits 1); "
+             "takes none of --oracle, --ring-max-order and --support-cap"),
+        ),
+    ),
+}
+
+
+def _command_func(command: str):
+    return globals()[f"cmd_{command}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `_COMMANDS`, which writes every help, usage
+    and error message."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fpmom",
         description="Exact moment series of the generating operator of a free group factor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scalar", help="scalar moment series")
-    _add_common(p)
-    p.add_argument("--max-order", type=_at_least(1), required=True)
-    p.add_argument("--format", choices=FORMATS, default="json")
-    p.set_defaults(func=cmd_scalar)
-
-    # at rank 1 the canonical subgroup generator degenerates to the identity
-    p = sub.add_parser("amalg", help="moment series over the canonical cyclic subgroup")
-    _add_common(p, least_rank=2)
-    p.add_argument("--max-order", type=_at_least(1), required=True)
-    p.add_argument("--format", choices=FORMATS, default="json")
-    p.set_defaults(func=cmd_amalg)
-
-    p = sub.add_parser("xdecomp", help="radial decomposition of one power")
-    _add_common(p)
-    p.add_argument("--power", type=_at_least(1), required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_xdecomp)
-
-    p = sub.add_parser("expand", help="brute-force word expansion of one power")
-    _add_common(p)
-    _add_support_cap(p)
-    p.add_argument("--power", type=_at_least(0), required=True)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("verify", help="run the recurrence against the oracles")
-    _add_common(p)
-    _add_support_cap(p)
-    p.add_argument("--max-order", type=_at_least(1), default=8)
-    p.add_argument(
-        "--oracle",
-        choices=("tree", "both"),
-        help="tree: the tree oracle alone; both (default): the ring oracle too",
-    )
-    p.add_argument(
-        "--ring-max-order",
-        type=_at_least(1),
-        help="orders covered by the ring oracle (default: the per-rank budget; "
-        "--oracle tree skips it)",
-    )
-    p.add_argument(
-        "--self-test",
-        action="store_true",
-        help="inject one fault and confirm verification catches it (exits 1); "
-        "takes none of --oracle, --ring-max-order and --support-cap",
-    )
-    p.set_defaults(func=cmd_verify)
-
+    for command, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, kind, default, required, help_text in flags:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=default, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, default=default, required=required, help=help_text)
+        p.set_defaults(func=_command_func(command))
     return parser
 
 
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give for a canonical argv, or None.
+
+    Canonical is a command of `_COMMANDS`, then each of its flags at most
+    once, spelled in full, as two tokens ``--flag value`` with a value
+    that does not start with "-" (a switch alone).  Every value goes
+    through its flag's type or choices.  Anything else, a refused value
+    included, gives None and is left to argparse; nothing is printed.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, flags = argv[0], _COMMANDS[argv[0]][1]
+    kinds = {flag: kind for flag, kind, *_ in flags}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in kinds or flag in given:
+            return None
+        kind = kinds[flag]
+        if kind is bool:
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        if isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            given[flag] = text
+            continue
+        try:
+            given[flag] = kind(text)
+        except Exception:  # int's ValueError or _at_least's ArgumentTypeError
+            return None
+    values = {"command": command}
+    for flag, _, default, required, _ in flags:
+        if required and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values, func=_command_func(command))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_canonical(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     # Exact moments outgrow the interpreter's 4300-digit limit on int -> str;
     # lift it for this run only, since callers may run main in-process.
     digit_limit = sys.get_int_max_str_digits()

@@ -7,8 +7,8 @@ A writer takes rows (label, cell).  A cell is either one value spelled
 as a decimal string, or a Laurent polynomial as (exps, coeffs): its
 exponents, ascending, and its nonzero coefficients spelled as decimals.
 Writers spell only labels and exponents, each exponent's text once per
-run (through ``functools.cache``).  ``emit`` feeds them a
-``MomentSeries``.  ``amalgamated_rows`` feeds them E(G^n) straight from
+run (through ``functools.cache``), and return text.  ``emit`` feeds them
+a ``MomentSeries`` and returns UTF-8 bytes.  ``amalgamated_rows`` feeds them E(G^n) straight from
 the chain's classes, spelling each coefficient once for both h^k and
 h^-k, with no ``LaurentPolynomial`` or ``MomentSeries`` on the way;
 ``fpmom amalg`` writes through it, and ``fpmom xdecomp`` feeds its rows
@@ -205,9 +205,9 @@ def write_tex(rows: Iterable[Row]) -> str:
     return "".join(parts)
 
 
-def write_series(fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[Row]) -> bytes:
-    """The rows of a moment series (orders 1..max_order) as UTF-8 bytes in
-    one of FORMATS; ``emit`` of the same series gives the same bytes."""
+def write_series(fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[Row]) -> str:
+    """The rows of a moment series (orders 1..max_order) as text in one of
+    FORMATS; ``emit`` of the same series gives this text as UTF-8 bytes."""
     if fmt == "json":
         fields = {
             "rank": rank,
@@ -216,14 +216,12 @@ def write_series(fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[
             "provenance": "recurrence",
             "tool_version": TOOL_VERSION,
         }
-        text = write_json(fields, rows)
-    elif fmt == "csv":
-        text = write_csv(rows)
-    elif fmt == "tex":
-        text = write_tex(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    return text.encode("utf-8")
+        return write_json(fields, rows)
+    if fmt == "csv":
+        return write_csv(rows)
+    if fmt == "tex":
+        return write_tex(rows)
+    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def emit(series: MomentSeries, fmt: str) -> bytes:
@@ -232,4 +230,5 @@ def emit(series: MomentSeries, fmt: str) -> bytes:
         cells = map(str, series.values)
     else:
         cells = (v._spelled() for v in series.values)
-    return write_series(fmt, series.rank, series.kind, series.max_order, enumerate(cells, 1))
+    rows = enumerate(cells, 1)
+    return write_series(fmt, series.rank, series.kind, series.max_order, rows).encode("utf-8")

@@ -255,6 +255,25 @@ def test_cli_starts_without_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
+def test_canonical_run_loads_no_argparse():
+    # a canonical argv is read straight off the flag table; argparse, and the
+    # gettext and locale it loads, are left to help and errors
+    src = str(Path(fpmom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import io, sys, fpmom.cli; "
+        "sys.stdout = io.StringIO(); "
+        "rc = fpmom.cli.main(['amalg', '--rank', '2', '--max-order', '4']); "
+        "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__; "
+        "print(rc, out.count('entries'), "
+        "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 1 []"
+
+
 def test_readme_quickstart():
     from fpmom import (
         conditional_expectation, generating_operator, subgroup_word,
