@@ -54,7 +54,7 @@ from .ring import (
     subgroup_word,
 )
 from .words import (
-    Word, _letter_bits, _packed_length, _require_int, format_word, reduced_word_count
+    Word, _length_table, _letter_bits, _require_int, format_word, reduced_word_count
 )
 
 __all__ = [
@@ -241,12 +241,13 @@ def _check_radial(
     """Expanded G^n must be constant on each word-length class, hold every
     word of each class it touches, and its per-length constants must equal
     the recurrence coefficients, class set included."""
-    # Lengths come from the packed words' bit lengths; a word is unpacked
-    # only to be named in a mismatch.
-    k = _letter_bits(gn.rank)
+    # Lengths come from a table indexed by the packed words' bit lengths,
+    # built once per power; a word is unpacked only to be named in a mismatch.
+    terms = gn._terms
+    lengths = _length_table(max(terms, default=0), _letter_bits(gn.rank))
     by_length: dict[int, int] = {}
-    for w, c in gn._terms.items():
-        m = _packed_length(w, k)
+    for w, c in terms.items():
+        m = lengths[w.bit_length()]
         seen = by_length.setdefault(m, c)
         if seen != c:
             report.record(
@@ -258,8 +259,8 @@ def _check_radial(
     # distinct words of one length number at most the class size, so a
     # short support means a word is missing
     support = sum(reduced_word_count(m, gn.rank) for m in by_length)
-    if len(gn._terms) != support:
-        report.record(f"order {n}: support size", support, len(gn._terms))
+    if len(terms) != support:
+        report.record(f"order {n}: support size", support, len(terms))
     _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
 
 

@@ -62,6 +62,12 @@ def _packed_length(w: int, k: int) -> int:
     return -(-w.bit_length() // k)
 
 
+def _length_table(w: int, k: int) -> list[int]:
+    """Word lengths by bit length: for every packed word v <= w,
+    ``_length_table(w, k)[v.bit_length()] == _packed_length(v, k)``."""
+    return [-(-b // k) for b in range(w.bit_length() + 1)]
+
+
 class Word:
     """An immutable reduced word over the generators of a free group.
 

@@ -144,7 +144,9 @@ def test_traced_ring_calls(monkeypatch):
 
 
 # fpmom.words defines the packed word format; other modules import these
-PACKED_FORMAT_HELPERS = {"_letter_bits", "_inverse_digit", "_packed_length", "_speller", "_level"}
+PACKED_FORMAT_HELPERS = {
+    "_letter_bits", "_inverse_digit", "_packed_length", "_length_table", "_speller", "_level"
+}
 
 
 def test_words_owns_the_packed_format():

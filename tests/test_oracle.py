@@ -20,7 +20,7 @@ from fpmom.oracle import (
 )
 from fpmom.recurrence import RadialDecomposition, _scalar_moments, decomposition_of
 from fpmom.ring import RingElement, generating_operator, power
-from fpmom.words import parse_word
+from fpmom.words import Word, parse_word, reduced_word_count
 
 
 def _returning_by_distance(rank, max_steps):
@@ -258,6 +258,53 @@ def test_radiality_check_names_the_odd_word():
     assert [tuple(m) for m in report.mismatches] == [
         ("order 3, length 3: coefficient constancy", "uniform coefficient 1", "2 at BBB")
     ]
+
+
+def _reference_check_radial(report, n, gn, dec):
+    """``_check_radial`` with each length read off the word's letter codes."""
+    by_length = {}
+    for word, c in gn.terms.items():
+        m = len(word.codes)
+        seen = by_length.setdefault(m, c)
+        if seen != c:
+            report.record(
+                f"order {n}, length {m}: coefficient constancy",
+                f"uniform coefficient {seen}",
+                f"{c} at {word}",
+            )
+            return
+    support = sum(reduced_word_count(m, gn.rank) for m in by_length)
+    if gn.support_size != support:
+        report.record(f"order {n}: support size", support, gn.support_size)
+    for m in sorted(dec.coeffs.keys() | by_length.keys(), reverse=True):
+        want, got = dec.coeffs.get(m, 0), by_length.get(m, 0)
+        if want != got:
+            report.record(f"order {n}, length {m}: radial coefficient", want, got)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_radiality_check_at_the_edges_of_the_length_table(rank):
+    # the largest digit, 2N, fills all k bits of a letter, so a word that
+    # starts with it has a bit length that is a multiple of k; the identity
+    # has bit length 0
+    k = (2 * rank).bit_length()
+    for n in (3, 4) if rank <= 4 else (2, 3):  # G^4 at rank 8 has 54,241 terms
+        gn = power(generating_operator(rank), n)
+        dec = decomposition_of(n, rank)
+        report = DiffReport("radiality")
+        _check_radial(report, n, gn, dec)
+        assert report.passed
+        top = max(gn.terms, key=lambda word: word._packed)
+        assert len(top) == n and top._packed.bit_length() == n * k
+        for word in [top, Word.identity(rank)] if n % 2 == 0 else [top]:
+            terms = dict(gn.terms)
+            terms[word] += 1
+            perturbed = RingElement(rank, terms)
+            report, reference = DiffReport("radiality"), DiffReport("radiality")
+            _check_radial(report, n, perturbed, dec)
+            _reference_check_radial(reference, n, perturbed, dec)
+            assert report.mismatches == reference.mismatches
+            assert report.mismatches[0].location.startswith(f"order {n}, length {len(word)}: ")
 
 
 def test_diff_report_is_a_plain_value():

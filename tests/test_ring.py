@@ -163,6 +163,27 @@ def test_support_cap_on_multiply():
     assert power(g, 5, support_cap=10**6).support_size == 4 * 81 + 4 * 9 + 4
 
 
+@pytest.mark.parametrize("rank, n, support", [(2, 5, 364), (3, 4, 781)])
+def test_support_cap_boundary_on_powers(rank, n, support):
+    # G's coefficients are all positive, so no term cancels to zero and a
+    # product refuses exactly when its support outgrows the cap
+    g = generating_operator(rank)
+    assert support == sum(reduced_word_count(m, rank) for m in range(n % 2, n + 1, 2))
+    assert power(g, n, support_cap=support).support_size == support
+    with pytest.raises(SupportCapError) as exc:
+        power(g, n, support_cap=support - 1)
+    assert exc.value.cap == support - 1 and exc.value.needed >= support
+
+
+def test_support_cap_counts_terms_that_only_cancellations_make():
+    # ab * B and cb * B: no letter extends, both cancel to new words
+    x = RingElement(3, {w("ab", 3): 1, w("cb", 3): 1})
+    y = RingElement.monomial(w("B", 3))
+    assert dict(multiply(x, y, support_cap=2).terms) == {w("a", 3): 1, w("c", 3): 1}
+    with pytest.raises(SupportCapError):
+        multiply(x, y, support_cap=1)
+
+
 def test_support_cap_on_radial_sum():
     with pytest.raises(SupportCapError):
         radial_sum(30, 2)  # 4 * 3^29 words far exceeds the default cap
@@ -451,6 +472,33 @@ def test_packed_product_matches_word_product(rank):
         assert {word.codes: c for word, c in got.terms.items()} == {
             codes: c for codes, c in expected.items() if c
         }
+
+
+@pytest.mark.parametrize("rank", _KERNEL_RANKS)
+def test_one_letter_product_matches_word_product(rank):
+    # a right factor of one-letter words takes multiply's one-letter path
+    rng = random.Random(4150 + rank)
+    letters = [c for i in range(1, rank + 1) for c in (i, -i)]
+    for _ in range(20):
+        xt = _random_terms(rng, rank, 10, 5)
+        xt[Word.identity(rank)] = rng.choice((-3, 2))
+        chosen = rng.sample(letters, rng.randint(1, len(letters)))
+        yt = {Word([c], rank=rank): rng.choice((-2, -1, 1, 3)) for c in chosen}
+        expected = {}
+        for u, cu in xt.items():
+            for v, cv in yt.items():
+                uv = _reduced(u.codes + v.codes)
+                expected[uv] = expected.get(uv, 0) + cu * cv
+        got = multiply(RingElement(rank, xt), RingElement(rank, yt))
+        assert {word.codes: c for word, c in got.terms.items()} == {
+            codes: c for codes, c in expected.items() if c
+        }
+    # g1 * gN and (g1 gN gN) * gN^-1 both give g1 gN, and their sum is zero
+    x = RingElement(rank, {Word([1], rank=rank): 1, Word([1, rank, rank], rank=rank): -1})
+    y = RingElement(rank, {Word([rank], rank=rank): 1, Word([-rank], rank=rank): 1})
+    got = multiply(x, y).terms
+    assert dict(got) == {Word([1, -rank], rank=rank): 1, Word([1, rank, rank, rank], rank=rank): -1}
+    assert 0 not in got.values()
 
 
 @pytest.mark.parametrize("rank", _KERNEL_RANKS)
