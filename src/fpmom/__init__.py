@@ -15,7 +15,6 @@ from .laurent import LaurentPolynomial
 from .words import (
     Word,
     format_word,
-    parse_word,
     reduced_word_count,
 )
 from .ring import (
@@ -56,7 +55,6 @@ from .series import (
 __all__ = [
     "__version__",
     "Word",
-    "parse_word",
     "format_word",
     "reduced_word_count",
     "LaurentPolynomial",

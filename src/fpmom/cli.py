@@ -9,8 +9,8 @@
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including an --output
-that cannot be written; a missing parent directory or a directory is
-refused before any computation), 3 resource cap hit.
+that cannot be written; a missing parent directory, a directory or an
+empty path is refused before any computation), 3 resource cap hit.
 Each subcommand's flags are declared once, in the table `_COMMANDS`.  `main`
 reads a canonical argv (a command, then each flag at most once as
 ``--flag value``) straight off that table, so a plain run never imports
@@ -86,10 +86,12 @@ def _check_output(args: argparse.Namespace) -> None:
     when the data is written.
     """
     path = args.output
-    if not path:
+    if path is None:
         return
     parent = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path):
+    if not path:
+        err = errno.ENOENT
+    elif os.path.isdir(path):
         err = errno.EISDIR
     elif not os.path.exists(parent):
         err = errno.ENOENT
@@ -101,7 +103,7 @@ def _check_output(args: argparse.Namespace) -> None:
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

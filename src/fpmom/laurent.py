@@ -30,14 +30,6 @@ class LaurentPolynomial:
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
-    @property
-    def constant_term(self) -> int:
-        return self._coeffs.get(0, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

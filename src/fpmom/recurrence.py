@@ -228,12 +228,6 @@ def scalar_moment(n: int, rank: int) -> int:
     return deque(_scalar_moments(rank, n), maxlen=1).pop()
 
 
-def _require_subgroup(rank: int) -> None:
-    if rank < 2:
-        raise ValueError("amalgamated moments need rank >= 2; the subgroup generator "
-                         "degenerates at rank 1")
-
-
 def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     """Moment of G^n over the cyclic subgroup of the canonical length-2N word.
 
@@ -243,7 +237,7 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     2N k, which sits at index N k of ``dec.classes``; exponent 0 takes the
     constant class.  Odd powers have no even classes and project to zero.
     """
-    _require_subgroup(dec.rank)
+    _require_int("rank", dec.rank, 2)
     coeffs: dict[int, int] = {}
     for k, c in enumerate(_subgroup_classes(dec)):
         coeffs[k] = c
@@ -260,7 +254,6 @@ def _subgroup_classes(dec: RadialDecomposition) -> list[int]:
 
 def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:
     """Moment of G^n over the cyclic subgroup; see ``amalgamated_projection``."""
-    _require_int("rank", rank, 1)
-    _require_subgroup(rank)
+    _require_int("rank", rank, 2)
     _require_int("order", n, 1)
     return amalgamated_projection(decomposition_of(n, rank))

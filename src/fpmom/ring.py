@@ -118,10 +118,6 @@ class RingElement:
         """The ring unit: the identity word with coefficient 1."""
         return cls(rank, {Word.identity(rank): 1})
 
-    @classmethod
-    def monomial(cls, word: Word, coeff: int = 1) -> "RingElement":
-        return cls(word.rank, {word: coeff})
-
     @property
     def rank(self) -> int:
         return self._rank

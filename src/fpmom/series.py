@@ -79,7 +79,7 @@ class MomentSeries:
             else:
                 if not isinstance(value, LaurentPolynomial):
                     raise TypeError(f"amalgamated value at order {n} must be a LaurentPolynomial")
-                vanishes = value.is_zero
+                vanishes = not value
             if n % 2 and not vanishes:
                 raise ValueError(f"odd-order moment at {n} must vanish")
         for name, field in (("rank", rank), ("kind", kind), ("values", values)):

@@ -22,28 +22,26 @@ The identity is 0, and no digit is 0, so
 * the int is never -1, so ``(rank, int)`` hashes without collisions
   between short words.
 
-Text grammar
-------------
+Spelling
+--------
 Compact form (rank <= 26): the i-th lowercase latin letter is the i-th
 generator and the matching uppercase letter its inverse, concatenated
-without separators (``"abAB"``).  The standalone string ``"e"`` (or the
-empty string) denotes the identity.  Indexed form (any rank):
-whitespace-separated tokens ``g<i>`` and ``G<i>``, e.g. ``"g1 g2 G1 G2"``.
-Any digit in the input switches the parser to indexed form.
+without separators (``"abAB"``); the identity is ``"e"``.  Indexed form
+(rank > 26): space-separated tokens ``g<i>`` and ``G<i>``, e.g.
+``"g1 g2 G1 G2"``.
 
-One compact-form collision exists: the single-letter word for generator 5
-would print as ``"e"``, which the parser reserves for the identity, so
-``format_word`` emits the indexed token ``"g5"`` for that word instead.
+In compact form the lone word for generator 5 would spell ``"e"``, like
+the identity, so ``format_word`` writes the indexed token ``"g5"`` for it
+instead; that keeps the output unambiguous, since no two words spell
+alike.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Iterable
 
 __all__ = [
     "Word",
-    "parse_word",
     "format_word",
     "reduced_word_count",
 ]
@@ -160,55 +158,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self._rank})"
-
-
-_INDEXED_TOKEN = re.compile(r"([gG])([0-9]+)")
-
-
-def _parse_compact_char(ch: str, rank: int) -> int:
-    if "a" <= ch <= "z":
-        code = ord(ch) - 96
-    elif "A" <= ch <= "Z":
-        code = -(ord(ch) - 64)
-    else:
-        raise ValueError(f"unexpected character {ch!r} in word")
-    if abs(code) > rank:
-        raise ValueError(f"letter {ch!r} names generator {abs(code)}, beyond rank {rank}")
-    return code
-
-
-def _parse_indexed_token(token: str, rank: int) -> int:
-    m = _INDEXED_TOKEN.fullmatch(token)
-    if m is None:
-        raise ValueError(f"malformed generator token {token!r}")
-    index = int(m.group(2))
-    if index < 1:
-        raise ValueError(f"generator index must be >= 1, got {token!r}")
-    if index > rank:
-        raise ValueError(f"token {token!r} names generator {index}, beyond rank {rank}")
-    return index if m.group(1) == "g" else -index
-
-
-def parse_word(text: str, rank: int) -> Word:
-    """Parse a word in either grammar form; the result is reduced.
-
-    >>> parse_word("abAB", 2).codes
-    (1, 2, -1, -2)
-    >>> parse_word("g1 g2 G1 G2", 2) == parse_word("abAB", 2)
-    True
-    >>> parse_word("aA", 2).is_identity
-    True
-    """
-    s = text.strip()
-    if s in ("", "e"):
-        return Word.identity(rank)
-    if any(ch.isdigit() for ch in s):
-        codes = [_parse_indexed_token(tok, rank) for tok in s.split()]
-    else:
-        if len(s.split()) != 1:
-            raise ValueError("compact-form words take no separators; use g<i> tokens instead")
-        codes = [_parse_compact_char(ch, rank) for ch in s]
-    return Word(codes, rank=rank)
 
 
 def _speller(rank: int) -> tuple[list[str], list[str], Callable[[int], str]]:

@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "iter_decompositions",
     "iter_powers",
     "multiply",
-    "parse_word",
     "power",
     "radial_sum",
     "reduced_word_count",
@@ -187,6 +186,10 @@ BAD_INT_CALLS = {
     "scalar_series-rank-0": (lambda: fpmom.scalar_series(0, 4), ValueError, "rank"),
     "amalgamated_moment-bool-rank": (
         lambda: fpmom.amalgamated_moment(4, True), TypeError, "rank"
+    ),
+    "amalgamated_moment-rank-1": (lambda: fpmom.amalgamated_moment(4, 1), ValueError, "rank"),
+    "amalgamated_projection-rank-1": (
+        lambda: fpmom.amalgamated_projection(fpmom.decomposition_of(4, 1)), ValueError, "rank"
     ),
     "power-bool-exponent": (lambda: fpmom.power(G2, True), TypeError, "n"),
     "iter_powers-negative": (lambda: list(fpmom.iter_powers(G2, -1)), ValueError, "max_order"),

@@ -261,6 +261,22 @@ def test_unwritable_output_is_refused_before_computing(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
+    "output", [["--output", ""], ["--output="]], ids=["canonical", "argparse"]
+)
+def test_empty_output_is_refused_before_computing(capsys, monkeypatch, output):
+    # an empty path names no file; it is not a request for stdout
+    argv = ["scalar", "--max-order", "2", *output]
+    assert (_read_canonical(argv) is None) == (output == ["--output="])
+    calls = []
+    monkeypatch.setattr(fpmom.cli, "scalar_series", lambda *args: calls.append(args))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "flag", [["--oracle", "tree"], ["--ring-max-order", "3"], ["--support-cap", "5"]],
     ids=["oracle", "ring-max-order", "support-cap"],
 )

@@ -11,17 +11,16 @@ def test_zero_coefficients_dropped():
 
 def test_zero():
     z = LaurentPolynomial()
-    assert z.is_zero
     assert not z
     assert z == LaurentPolynomial({})
-    assert z.constant_term == 0
+    assert z.coefficient(0) == 0
 
 
 def test_accessors():
     p = LaurentPolynomial({1: 1, -1: 1, 0: 28})
     assert p.coefficient(1) == 1
     assert p.coefficient(2) == 0
-    assert p.constant_term == 28
+    assert p.coefficient(0) == 28
     assert p.items() == [(-1, 1), (0, 28), (1, 1)]
 
 

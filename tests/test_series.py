@@ -57,9 +57,9 @@ def test_scalar_series_matches_kesten():
 def test_amalgamated_series_rank_two():
     s = amalgamated_series(2, 4)
     assert s.kind == "amalgamated"
-    assert s.value(1).is_zero
+    assert not s.value(1)
     assert s.value(2) == LaurentPolynomial({0: 4})
-    assert s.value(3).is_zero
+    assert not s.value(3)
     assert s.value(4) == LaurentPolynomial({1: 1, -1: 1, 0: 28})
 
 
@@ -87,7 +87,7 @@ def test_cross_kind_consistency():
     scal = scalar_series(2, 12)
     amal = amalgamated_series(2, 12)
     for n in range(1, 13):
-        assert amal.value(n).constant_term == scal.value(n)
+        assert amal.value(n).coefficient(0) == scal.value(n)
 
 
 def test_series_validation():
