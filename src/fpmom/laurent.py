@@ -39,6 +39,8 @@ class LaurentPolynomial:
 
     def shifted(self, delta: int) -> "LaurentPolynomial":
         """Multiply by the delta-th power of the symbol."""
+        if type(delta) is not int:
+            raise TypeError(f"delta must be an int, got {type(delta).__name__}")
         return LaurentPolynomial({k + delta: c for k, c in self._coeffs.items()})
 
     def __eq__(self, other: object) -> bool:

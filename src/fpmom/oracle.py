@@ -111,10 +111,7 @@ class DiffReport:
         return {
             "subject": self.subject,
             "verdict": self.verdict,
-            "mismatches": [
-                {"location": m.location, "expected": m.expected, "actual": m.actual}
-                for m in self.mismatches
-            ],
+            "mismatches": [m._asdict() for m in self.mismatches],
         }
 
 

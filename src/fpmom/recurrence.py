@@ -98,8 +98,8 @@ class RadialDecomposition:
     ``classes[i]`` is the coefficient of X_m for m = 2i + (power mod 2),
     so the classes present are exactly 0 <= m <= power with
     m = power (mod 2).  Every coefficient is positive and the top class
-    carries coefficient 1.  ``coeffs`` is a read-only class ->
-    coefficient view of ``classes``.
+    carries coefficient 1.  ``coeffs`` is a read-only class -> coefficient
+    view of ``classes``; ``coeffs.get(m, 0)`` reads any class m.
 
     Decompositions come only from the engine: ``iter_decompositions``
     starts from G^1 and walks ``step`` to each next power, and
@@ -135,11 +135,6 @@ class RadialDecomposition:
         """Class length -> coefficient, built from ``classes`` on request."""
         parity = self.power % 2
         return MappingProxyType({2 * i + parity: c for i, c in enumerate(self.classes)})
-
-    def coefficient(self, length: int) -> int:
-        if 0 <= length <= self.power and (self.power - length) % 2 == 0:
-            return self.classes[length // 2]
-        return 0
 
     def rows(self) -> Iterator[tuple[int, int]]:
         """(class length, coefficient) pairs, longest class first."""

@@ -115,8 +115,8 @@ class RingElement:
 
     @classmethod
     def one(cls, rank: int) -> "RingElement":
-        """The ring unit: the identity word with coefficient 1."""
-        return cls(rank, {Word.identity(rank): 1})
+        """The ring unit: the empty word, the identity, with coefficient 1."""
+        return cls(rank, {Word(rank=rank): 1})
 
     @property
     def rank(self) -> int:

@@ -75,12 +75,9 @@ class MomentSeries:
             if kind == "scalar":
                 if type(value) is not int:
                     raise TypeError(f"scalar value at order {n} must be an int")
-                vanishes = value == 0
-            else:
-                if not isinstance(value, LaurentPolynomial):
-                    raise TypeError(f"amalgamated value at order {n} must be a LaurentPolynomial")
-                vanishes = not value
-            if n % 2 and not vanishes:
+            elif not isinstance(value, LaurentPolynomial):
+                raise TypeError(f"amalgamated value at order {n} must be a LaurentPolynomial")
+            if n % 2 and value:
                 raise ValueError(f"odd-order moment at {n} must vanish")
         for name, field in (("rank", rank), ("kind", kind), ("values", values)):
             object.__setattr__(self, name, field)

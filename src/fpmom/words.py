@@ -2,8 +2,8 @@
 
 A letter is a nonzero integer code: ``+i`` stands for the i-th generator
 (1-based), ``-i`` for its inverse.  Every constructor applies free
-reduction, so any ``Word`` in circulation is reduced; the empty word is
-the group identity.
+reduction, so any ``Word`` in circulation is reduced; the empty word,
+``Word(rank=N)`` of length 0, is the group identity.
 
 Packed words
 ------------
@@ -69,16 +69,15 @@ def _length_table(w: int, k: int) -> list[int]:
 class Word:
     """An immutable reduced word over the generators of a free group.
 
-    The constructor freely reduces its letter codes:
+    The constructor freely reduces its letter codes; the repr spells them:
 
-    >>> Word([1, 2, -2, 1], rank=2).codes
-    (1, 1)
-    >>> Word([1, -1], rank=1).is_identity
-    True
+    >>> Word([1, 2, -2, 1], rank=2)
+    Word((1, 1), rank=2)
+    >>> len(Word([1, -1], rank=1))
+    0
 
-    Words themselves are unordered.  The canonical order is the packed
-    int's (length first, then a < A < b < B < aa < ...), and
-    ``RingElement.to_json`` sorts a support's ints to get it.
+    Words are unordered; the canonical order is the packed int's (module
+    docstring), which ``RingElement.to_json`` sorts a support by.
     """
 
     __slots__ = ("_packed", "_rank")
@@ -108,10 +107,6 @@ class Word:
         w._rank = rank
         return w
 
-    @classmethod
-    def identity(cls, rank: int) -> "Word":
-        return cls((), rank=rank)
-
     @property
     def rank(self) -> int:
         return self._rank
@@ -128,10 +123,6 @@ class Word:
             codes.append(d + 1 >> 1 if d & 1 else -(d >> 1))
             w >>= k
         return tuple(reversed(codes))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self._packed
 
     def __len__(self) -> int:
         return _packed_length(self._packed, _letter_bits(self._rank))
@@ -157,7 +148,7 @@ class Word:
         return format_word(self)
 
     def __repr__(self) -> str:
-        return f"Word({format_word(self)!r}, rank={self._rank})"
+        return f"Word({self.codes!r}, rank={self._rank})"
 
 
 def _speller(rank: int) -> tuple[list[str], list[str], Callable[[int], str]]:

@@ -79,6 +79,17 @@ def test_package_exports():
         assert hasattr(fpmom, name), name
 
 
+def test_version_has_one_source():
+    # pyproject.toml reads the version from fpmom._version, the string that
+    # every JSON output and the bench's provenance stamp print
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "fpmom._version.TOOL_VERSION"}
+
+
 def test_submodule_exports_resolve():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
@@ -171,6 +182,12 @@ G2 = fpmom.generating_operator(2)
 BAD_INT_CALLS = {
     "laurent-bool-coefficient": (lambda: fpmom.LaurentPolynomial({0: True}), TypeError, ""),
     "laurent-bool-exponent": (lambda: fpmom.LaurentPolynomial({True: 3}), TypeError, ""),
+    "laurent-shifted-bool": (
+        lambda: fpmom.LaurentPolynomial({0: 1}).shifted(True), TypeError, "delta"
+    ),
+    "laurent-shifted-float": (
+        lambda: fpmom.LaurentPolynomial({0: 1}).shifted(1.5), TypeError, "delta"
+    ),
     "radial_sum-bool-rank": (lambda: fpmom.radial_sum(2, True), TypeError, "rank"),
     "ring-element-bool-rank": (lambda: fpmom.RingElement(True, {}), TypeError, "rank"),
     "word-bool-letter": (lambda: fpmom.Word([True], rank=2), TypeError, ""),

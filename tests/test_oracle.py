@@ -296,7 +296,7 @@ def test_radiality_check_at_the_edges_of_the_length_table(rank):
         assert report.passed
         top = max(gn.terms, key=lambda word: word._packed)
         assert len(top) == n and top._packed.bit_length() == n * k
-        for word in [top, Word.identity(rank)] if n % 2 == 0 else [top]:
+        for word in [top, Word(rank=rank)] if n % 2 == 0 else [top]:
             terms = dict(gn.terms)
             terms[word] += 1
             perturbed = RingElement(rank, terms)

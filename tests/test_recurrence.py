@@ -84,7 +84,7 @@ def test_row_recurrence_matches_the_chain():
 
 def test_p_recurrence_matches_the_chain():
     for rank in ENGINE_RANKS:
-        constants = [d.coefficient(0) for d in iter_decompositions(rank, 300)]
+        constants = [d.coeffs.get(0, 0) for d in iter_decompositions(rank, 300)]
         assert list(_scalar_moments(rank, 300)) == constants, rank
         assert scalar_moment(300, rank) == constants[-1]
         assert scalar_moment(299, rank) == 0
@@ -179,7 +179,7 @@ def test_structure_invariants():
     for rank in (1, 2, 3):
         for d in iter_decompositions(rank, 20):
             n = d.power
-            assert d.coefficient(n) == 1
+            assert d.coeffs.get(n, 0) == 1
             for m, c in d.coeffs.items():
                 assert 0 <= m <= n
                 assert (n - m) % 2 == 0
@@ -197,18 +197,18 @@ def test_amalgamated_symmetry_and_constant_term():
 def test_coefficient_table_values():
     # the chain G^1..G^8 is the table: row n is the decomposition of G^n
     table = list(iter_decompositions(2, 8))
-    assert table[1].coefficient(0) == 4
-    assert table[2].coefficient(1) == 7
-    assert table[3].coefficient(2) == 10
-    assert table[3].coefficient(0) == 28
-    assert table[4].coefficient(3) == 13
-    assert table[4].coefficient(1) == 58
-    assert table[5].coefficient(4) == 16
-    assert table[7].coefficient(6) == 22
-    assert table[7].coefficient(4) == 202
+    assert table[1].coeffs.get(0, 0) == 4
+    assert table[2].coeffs.get(1, 0) == 7
+    assert table[3].coeffs.get(2, 0) == 10
+    assert table[3].coeffs.get(0, 0) == 28
+    assert table[4].coeffs.get(3, 0) == 13
+    assert table[4].coeffs.get(1, 0) == 58
+    assert table[5].coeffs.get(4, 0) == 16
+    assert table[7].coeffs.get(6, 0) == 22
+    assert table[7].coeffs.get(4, 0) == 202
     t3 = list(iter_decompositions(3, 3))
-    assert t3[1].coefficient(0) == 6
-    assert t3[2].coefficient(1) == 11
+    assert t3[1].coeffs.get(0, 0) == 6
+    assert t3[2].coeffs.get(1, 0) == 11
 
 
 def test_table_agrees_with_decompositions():
@@ -217,7 +217,7 @@ def test_table_agrees_with_decompositions():
         for n in range(1, 11):
             d = decomposition_of(n, rank)
             for m in range(-1, n + 2):
-                assert table[n - 1].coefficient(m) == d.coefficient(m)
+                assert table[n - 1].coeffs.get(m, 0) == d.coeffs.get(m, 0)
             assert list(table[n - 1].rows()) == sorted(d.coeffs.items(), reverse=True)
 
 
@@ -225,6 +225,6 @@ def test_table_agrees_with_decompositions():
 @settings(max_examples=80, deadline=None)
 def test_stepping_preserves_invariants(rank, n):
     d = decomposition_of(n, rank)
-    assert d.coefficient(n) == 1
+    assert d.coeffs.get(n, 0) == 1
     assert d.mass() == (2 * rank) ** n
     assert all((n - m) % 2 == 0 and c > 0 for m, c in d.coeffs.items())
