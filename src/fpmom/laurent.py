@@ -28,6 +28,8 @@ class LaurentPolynomial:
         self._coeffs = data
 
     def coefficient(self, exponent: int) -> int:
+        if type(exponent) is not int:
+            raise TypeError(f"exponent must be an int, got {type(exponent).__name__}")
         return self._coeffs.get(exponent, 0)
 
     def __bool__(self) -> bool:

@@ -37,6 +37,7 @@ actually detected.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .recurrence import (
@@ -54,7 +55,13 @@ from .ring import (
     subgroup_word,
 )
 from .words import (
-    Word, _length_table, _letter_bits, _require_int, format_word, reduced_word_count
+    Word,
+    _length_runs,
+    _letter_bits,
+    _packed_length,
+    _require_int,
+    format_word,
+    reduced_word_count,
 )
 
 __all__ = [
@@ -238,14 +245,36 @@ def _check_radial(
     """Expanded G^n must be constant on each word-length class, hold every
     word of each class it touches, and its per-length constants must equal
     the recurrence coefficients, class set included."""
-    # Lengths come from a table indexed by the packed words' bit lengths,
-    # built once per power; a word is unpacked only to be named in a mismatch.
+    # Sorted keys hold each length as one run; a run is constant when its
+    # coefficients form a one-element set.  Only a failing run unpacks
+    # words, in dict order, to name the first odd one.
     terms = gn._terms
-    lengths = _length_table(max(terms, default=0), _letter_bits(gn.rank))
+    k = _letter_bits(gn.rank)
+    keys = sorted(terms)
     by_length: dict[int, int] = {}
+    for m, i, j in _length_runs(keys, k):
+        coeffs = set(map(terms.__getitem__, islice(keys, i, j)))
+        if len(coeffs) > 1:
+            _record_odd_word(report, n, gn)
+            return
+        by_length[m] = coeffs.pop()
+    # distinct words of one length number at most the class size, so a
+    # short support means a word is missing
+    support = sum(reduced_word_count(m, gn.rank) for m in by_length)
+    if len(terms) != support:
+        report.record(f"order {n}: support size", support, len(terms))
+    _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
+
+
+def _record_odd_word(report: DiffReport, n: int, gn: RingElement) -> None:
+    """Record the first word, in dict order, whose coefficient differs from
+    the first one seen at its length; gn must have such a word."""
+    terms = gn._terms
+    k = _letter_bits(gn.rank)
+    first: dict[int, int] = {}
     for w, c in terms.items():
-        m = lengths[w.bit_length()]
-        seen = by_length.setdefault(m, c)
+        m = _packed_length(w, k)
+        seen = first.setdefault(m, c)
         if seen != c:
             report.record(
                 f"order {n}, length {m}: coefficient constancy",
@@ -253,12 +282,6 @@ def _check_radial(
                 f"{c} at {format_word(Word._of(w, gn.rank))}",
             )
             return
-    # distinct words of one length number at most the class size, so a
-    # short support means a word is missing
-    support = sum(reduced_word_count(m, gn.rank) for m in by_length)
-    if len(terms) != support:
-        report.record(f"order {n}: support size", support, len(terms))
-    _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
 
 
 def _record_classes(

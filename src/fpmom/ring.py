@@ -17,7 +17,11 @@ that extend a word give keys no other term shares, so they fill the
 product in one dict comprehension, and only the cancellations are
 looked up.  ``Word`` stays the type of the public API: the
 constructor and ``coefficient`` read a word's int, ``terms`` wraps each
-int in a ``Word``, and ``to_json`` spells the ints directly.
+int in a ``Word``, and ``to_json`` spells the ints directly.  Sorted,
+the keys of one word length form one run; when a run is a whole length
+class with one coefficient, as every class of a power of G is,
+``to_json`` spells it one join per prefix, each join writing every
+child of that prefix.
 
 Supports of powers of the generating operator grow like (2N-1)^n, so
 every expanding operation takes a term cap (default ``10**8``) and
@@ -27,13 +31,16 @@ refuses with :class:`SupportCapError` rather than exhausting memory.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPolynomial
 from .words import (
     Word,
+    _follow,
     _inverse_digit,
+    _length_runs,
     _letter_bits,
     _level,
     _packed_length,
@@ -133,6 +140,8 @@ class RingElement:
         return len(self._terms)
 
     def coefficient(self, word: Word) -> int:
+        if not isinstance(word, Word):
+            raise TypeError(f"word must be a Word, got {type(word).__name__}")
         if word.rank != self._rank:
             return 0
         return self._terms.get(word._packed, 0)
@@ -156,40 +165,81 @@ class RingElement:
         {"rank":N,"terms":[{"word":"...","coeff":"<decimal>"},...]}.
 
         Terms are in canonical word order, so output is reproducible.  In
-        that order the words that share a prefix are adjacent, so each
-        prefix is spelled once, and each distinct coefficient is spelled
-        once; a term then costs one concatenation.  Terms are joined a few
-        thousand at a time, so their strings never all live at once.
+        that order the words of one length are one run, and a run that
+        holds a whole length class m >= 2 with one coefficient, as every
+        class of a power of G does, lists every child of every word of
+        length m - 1 in turn.  Such a class is spelled from the spelled
+        prefixes of length m - 1, grown a letter at a time as the classes
+        get longer, with one join per prefix that writes all its children
+        and the shared coefficient.  Any other run is spelled term by
+        term: the words that share a prefix are adjacent, so each prefix
+        is spelled once, and each distinct coefficient is spelled once.
+        Text is joined a few thousand terms or prefixes at a time, so
+        their strings never all live at once.
         """
         rank = self._rank
         k = _letter_bits(rank)
         mask = (1 << k) - 1
         lone, tails, spell = _speller(rank)
+        follow = _follow(rank)
         terms = self._terms
+        keys = sorted(terms)
+        # text: whole terms in groups, each group followed by a "," piece
+        text = [f'{{"rank":{rank},"terms":[']
+        # the spelled words of length `grown`, and their last digits
+        grown, prefixes, lasts = 1, [spell(d) for d in follow[0]], [*follow[0]]
         # ends[c][d]: the last letter, digit d, then coefficient c; ends[c][0]: c alone
         ends: dict[int, list[str]] = {}
-        chunks: list[str] = []
         out: list[str] = []
         last = head = None
-        for w in sorted(terms):
-            c = terms[w]
-            end = ends.get(c)
-            if end is None:
-                coeff = f'","coeff":"{c}"}}'
-                end = ends[c] = [coeff, *(tail + coeff for tail in tails[1:])]
-            p = w >> k
-            if not p:
-                out.append('{"word":"' + lone[w] + end[0])
-                continue
-            if p != last:
-                last = p
-                head = '{"word":"' + spell(p)
-                if len(out) >= 4096:
-                    chunks.append(",".join(out))
+        for m, i, j in _length_runs(keys, k):
+            if (
+                m >= 2
+                and j - i == reduced_word_count(m, rank)
+                and len(set(map(terms.__getitem__, islice(keys, i, j)))) == 1
+            ):
+                if out:
+                    text += ",".join(out), ","
                     out.clear()
-            out.append(head + end[w & mask])
-        chunks.append(",".join(out))
-        return f'{{"rank":{rank},"terms":[' + ",".join(chunks) + "]}\n"
+                for _ in range(grown, m - 1):  # runs come shortest first
+                    prefixes = [p + tails[d] for p, e in zip(prefixes, lasts) for d in follow[e]]
+                    lasts = [d for e in lasts for d in follow[e]]
+                grown = m - 1
+                sep = f'","coeff":"{terms[keys[i]]}"}},{{"word":"'
+                # prefix.join(parts[e]): every child of a prefix with last digit e
+                parts = [["", *(tails[d] + sep for d in after)] for after in follow]
+                text.append('{"word":"')
+                for a in range(0, len(prefixes), 4096):
+                    b = a + 4096
+                    text.append(
+                        "".join(map(str.join, prefixes[a:b], map(parts.__getitem__, lasts[a:b])))
+                    )
+                text[-1] = text[-1][: -len(',{"word":"')]
+                text.append(",")
+                continue
+            for w in islice(keys, i, j):
+                c = terms[w]
+                end = ends.get(c)
+                if end is None:
+                    coeff = f'","coeff":"{c}"}}'
+                    end = ends[c] = [coeff, *(tail + coeff for tail in tails[1:])]
+                p = w >> k
+                if not p:
+                    out.append('{"word":"' + lone[w] + end[0])
+                    continue
+                if p != last:
+                    last = p
+                    head = '{"word":"' + spell(p)
+                    if len(out) >= 4096:
+                        text += ",".join(out), ","
+                        out.clear()
+                out.append(head + end[w & mask])
+        if out:
+            text += ",".join(out), ","
+        if len(text) > 1:
+            text.pop()  # the last group's ","
+        text.append("]}\n")
+        return "".join(text)
 
     def to_json_dict(self) -> dict:
         """The parsed ``to_json``: {"rank": N, "terms": [{"word": ..., "coeff": ...}, ...]}."""

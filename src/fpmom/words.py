@@ -38,7 +38,8 @@ alike.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from bisect import bisect_left
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Word",
@@ -60,10 +61,20 @@ def _packed_length(w: int, k: int) -> int:
     return -(-w.bit_length() // k)
 
 
-def _length_table(w: int, k: int) -> list[int]:
-    """Word lengths by bit length: for every packed word v <= w,
-    ``_length_table(w, k)[v.bit_length()] == _packed_length(v, k)``."""
-    return [-(-b // k) for b in range(w.bit_length() + 1)]
+def _length_runs(keys: Sequence[int], k: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (m, i, j) for each word length m in the sorted packed words
+    keys, shortest first, where keys[i:j] are the words of length m.
+
+    Int order is length first, and a word of length m is below
+    ``1 << k * m`` while one of length m + 1 is not, so each run is found
+    by one bisection.
+    """
+    i, end = 0, len(keys)
+    while i < end:
+        m = _packed_length(keys[i], k)
+        j = bisect_left(keys, 1 << k * m, i)
+        yield m, i, j
+        i = j
 
 
 class Word:
@@ -217,13 +228,18 @@ def reduced_word_count(length: int, rank: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
+def _follow(rank: int) -> list[Sequence[int]]:
+    """follow[d]: the digits, ascending, that may follow a last digit d in a
+    reduced word; follow[0], after the empty word, is every digit."""
+    digits = range(1, 2 * rank + 1)
+    return [digits] + [[e for e in digits if e != _inverse_digit(d)] for d in digits]
+
+
 def _level(length: int, rank: int) -> list[int]:
     """Every packed reduced word of the given length, in canonical order."""
     k = _letter_bits(rank)
     mask = (1 << k) - 1
-    digits = range(1, 2 * rank + 1)
-    # the digits that may follow each last digit (0: the empty word)
-    follow = [digits] + [[e for e in digits if e != _inverse_digit(d)] for d in digits]
+    follow = _follow(rank)
     level = [0]
     for _ in range(length):
         level = [(w << k) | d for w in level for d in follow[w & mask]]

@@ -155,7 +155,8 @@ def test_traced_ring_calls(monkeypatch):
 
 # fpmom.words defines the packed word format; other modules import these
 PACKED_FORMAT_HELPERS = {
-    "_letter_bits", "_inverse_digit", "_packed_length", "_length_table", "_speller", "_level"
+    "_letter_bits", "_inverse_digit", "_packed_length", "_length_runs", "_speller", "_follow",
+    "_level",
 }
 
 
@@ -182,6 +183,12 @@ G2 = fpmom.generating_operator(2)
 BAD_INT_CALLS = {
     "laurent-bool-coefficient": (lambda: fpmom.LaurentPolynomial({0: True}), TypeError, ""),
     "laurent-bool-exponent": (lambda: fpmom.LaurentPolynomial({True: 3}), TypeError, ""),
+    "laurent-coefficient-bool": (
+        lambda: fpmom.LaurentPolynomial({1: 5, 0: 28}).coefficient(True), TypeError, "exponent"
+    ),
+    "laurent-coefficient-float": (
+        lambda: fpmom.LaurentPolynomial({1: 5, 0: 28}).coefficient(1.0), TypeError, "exponent"
+    ),
     "laurent-shifted-bool": (
         lambda: fpmom.LaurentPolynomial({0: 1}).shifted(True), TypeError, "delta"
     ),

@@ -512,6 +512,19 @@ GOLDEN_STDOUT = {
         "9dd02c04c31c5b7235e9bd4ad84ffe5d564ae29c5fcad9c4d3407b99b5b5e334",
     "verify --rank 2 --max-order 13 --ring-max-order 8":
         "fe8ce2b273fbbba3451b9abdd827ece68d5644e3c39b3c79f52e050412d577b6",
+    # recorded while to_json spelled every term on its own: the largest expand
+    # sizes the benchmark runs (r3/p6, r8/p4, r2/p8), rank 1 (two bits a
+    # letter) and rank 30 (indexed spelling)
+    "expand --rank 3 --power 6":
+        "113606bee9fa4808f28a745bcb7ed991b43b81cc71974529f0d0dc24fd898900",
+    "expand --rank 8 --power 4":
+        "91f94e7e05e08f61f4d2889289b94d45d171d52e6d36ef8088fe674dd81d1c6a",
+    "expand --rank 2 --power 8":
+        "2fd202872b9d96093567e5ef3765d0c439c9d7fc5497d386d1e4cc655983fc30",
+    "expand --rank 1 --power 9":
+        "e6401a7ac7abfd206587015834c73e4781ae5ef25d66dfae1e76465d9361b0a9",
+    "expand --rank 30 --power 3":
+        "613cdac5b40e3729667e58b34a3f0d816982a56f3d104220f3803acd25e772fd",
 }
 
 

@@ -307,6 +307,58 @@ def test_radiality_check_at_the_edges_of_the_length_table(rank):
             assert report.mismatches[0].location.startswith(f"order {n}, length {len(word)}: ")
 
 
+@pytest.mark.parametrize("rank, n", [(2, 5), (2, 6), (3, 4)])
+def test_radiality_check_names_odd_words_in_dict_order(rank, n):
+    # runs of sorted words find a failing class; the word named is still the
+    # first odd one in dict order, even in a class after the first one there
+    # or when a shorter class fails too
+    gn = power(generating_operator(rank), n)
+    dec = decomposition_of(n, rank)
+    words = list(gn.terms)
+    by_class = {}  # the classes of two or more words
+    for word in words:
+        if len(word):
+            by_class.setdefault(len(word), []).append(word)
+    first, *later = by_class
+    assert later  # classes in the order dict order first meets them
+    cases = [
+        [by_class[later[0]][1]],
+        [by_class[later[-1]][-1]],
+        [by_class[first][-1], by_class[later[0]][1]],
+        [by_class[max(by_class)][2], by_class[min(by_class)][-1]],
+    ]
+    for odd in cases:
+        terms = dict(gn.terms)
+        for word in odd:
+            terms[word] += 1
+        perturbed = RingElement(rank, terms)
+        report, reference = DiffReport("radiality"), DiffReport("radiality")
+        _check_radial(report, n, perturbed, dec)
+        _reference_check_radial(reference, n, perturbed, dec)
+        assert report.mismatches == reference.mismatches
+        named = min(odd, key=words.index)
+        assert report.mismatches[0].location == (
+            f"order {n}, length {len(named)}: coefficient constancy"
+        )
+
+
+@pytest.mark.parametrize("rank, n", [(2, 5), (3, 4)])
+def test_radiality_check_counts_a_missing_word(rank, n):
+    gn = power(generating_operator(rank), n)
+    dec = decomposition_of(n, rank)
+    for m in (n, n - 2):
+        terms = dict(gn.terms)
+        del terms[next(word for word in terms if len(word) == m)]
+        short = RingElement(rank, terms)
+        report, reference = DiffReport("radiality"), DiffReport("radiality")
+        _check_radial(report, n, short, dec)
+        _reference_check_radial(reference, n, short, dec)
+        assert report.mismatches == reference.mismatches
+        assert [tuple(mismatch) for mismatch in report.mismatches] == [
+            (f"order {n}: support size", str(gn.support_size), str(gn.support_size - 1))
+        ]
+
+
 def test_diff_report_is_a_plain_value():
     a, b = DiffReport("x"), DiffReport("x")
     a.record("here", 1, 2)

@@ -543,12 +543,51 @@ def _reference_json(rank, terms):
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-# supports of 19,531, 7,381 and 2,863 terms: the writer joins its terms a few
-# thousand at a time, and rank 5 spells generator 5 both as "g5" and as "e"
-@pytest.mark.parametrize("rank, n", [(3, 6), (5, 4), (27, 2)])
+# supports of 19,531, 7,381, 2,863 and 39,364 terms: the writer joins its text a
+# few thousand prefixes at a time (the top class of G^9 at rank 2 has 8,748
+# prefixes), and rank 5 spells generator 5 both as "g5" and as "e"
+@pytest.mark.parametrize("rank, n", [(3, 6), (5, 4), (27, 2), (2, 9)])
 def test_json_text_of_powers_matches_reference(rank, n):
     x = power(generating_operator(rank), n)
     assert x.to_json() == _reference_json(rank, dict(x.terms))
+
+
+# the longest class built at each rank: 5 (k = 2), 4 (k = 3), 3 (k = 4),
+# 3 (k = 5) and 2 (indexed spelling)
+_CLASS_LENGTHS = {1: 5, 2: 4, 5: 3, 8: 3, 27: 2}
+
+
+@pytest.mark.parametrize("rank", sorted(_CLASS_LENGTHS))
+def test_json_spells_whole_classes_and_other_runs_alike(rank):
+    # to_json spells a whole class with one coefficient one prefix at a time
+    # and any other run term by term; each class m >= 2 comes whole, whole
+    # with one term changed, or with one word missing, beside the identity
+    # and the lone letters (at rank 5, "g5")
+    rng = random.Random(4400 + rank)
+    lengths = range(2, _CLASS_LENGTHS[rank] + 1)
+    classes = {m: list(radial_sum(m, rank).terms) for m in lengths}
+    for kinds in itertools.product(("whole", "changed", "missing"), repeat=len(lengths)):
+        terms = {Word(rank=rank): 7, **dict.fromkeys(radial_sum(1, rank).terms, -2)}
+        for m, kind in zip(lengths, kinds):
+            c = rng.choice((1, -3, 12345678901234567890))
+            words = classes[m]
+            terms.update(dict.fromkeys(words, c))
+            odd = words[rng.choice((0, -1, rng.randrange(len(words))))]
+            if kind == "changed":
+                terms[odd] = c + 1
+            elif kind == "missing":
+                del terms[odd]
+        assert RingElement(rank, terms).to_json() == _reference_json(rank, terms)
+
+
+def test_coefficient_refuses_a_non_word():
+    # as the constructor refuses a key that is not a Word
+    g2 = power(generating_operator(2), 2)
+    with pytest.raises(TypeError, match="Word"):
+        g2.coefficient("e")  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match="Word"):
+        g2.coefficient(0)  # type: ignore[arg-type]
+    assert g2.coefficient(Word(rank=2)) == 4
 
 
 @pytest.mark.parametrize("rank", (2, 3, 4, 8, 27))
