@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
 from .recurrence import decomposition_of
-from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, generating_operator, power
+from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes
 from .oracle import self_test, verify
 from .series import (
     FORMATS,
@@ -44,6 +44,7 @@ from .series import (
     write_json,
     write_series,
 )
+from .words import _terms_json
 
 if TYPE_CHECKING:
     import argparse
@@ -148,8 +149,11 @@ def cmd_xdecomp(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    # no name holds the element, so it is freed before its text is written
-    text = power(generating_operator(args.rank), args.power, args.support_cap).to_json()
+    classes = {0: [1]}  # G^0
+    for _, classes in iter_power_classes(args.rank, args.power, args.support_cap):
+        pass
+    text = _terms_json(args.rank, ((m, None, coeffs) for m, coeffs in classes.items()))
+    del classes  # freed before the text is written
     _write_output(args, text)
     return EXIT_OK
 

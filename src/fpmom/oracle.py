@@ -27,8 +27,11 @@ numbers, so the check is not one recurrence written two ways.
 ``verify`` checks the scalar moments of the P-recurrence against the
 tree oracle to the requested order, and against the group ring up to
 the ring limit, which may be 0.  There it walks one chain of radial
-decompositions and expands each power of G once, checking its trace,
-its conditional expectation and its radiality from that single
+decompositions and expands each power of G once, as one coefficient
+list per word length in sorted word order (``iter_power_classes``), and
+checks its trace (the length-0 entry), its conditional expectation (the
+entry of each h^k, found by its index in its class) and its radiality
+(each class one coefficient, a 0 being a missing word) from that single
 expansion; the radiality check also compares each of those powers with
 the row recurrence.  It returns one :class:`DiffReport` per check;
 ``self_test`` injects a deliberate fault to prove that disagreements are
@@ -37,9 +40,9 @@ actually detected.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
+from .laurent import LaurentPolynomial
 from .recurrence import (
     RadialDecomposition,
     _scalar_moments,
@@ -47,18 +50,11 @@ from .recurrence import (
     decomposition_of,
     iter_decompositions,
 )
-from .ring import (
-    RingElement,
-    conditional_expectation,
-    generating_operator,
-    iter_powers,
-    subgroup_word,
-)
+from .ring import iter_power_classes, subgroup_word
 from .words import (
     Word,
-    _length_runs,
-    _letter_bits,
-    _packed_length,
+    _level,
+    _level_index,
     _require_int,
     format_word,
     reduced_word_count,
@@ -187,9 +183,10 @@ def verify(
     to the ring limit (ring_max_order, or by default
     ``brute_force_budget(rank)``, capped at max_order) one chain of
     decompositions G^1, G^2, ... is walked, and each decomposition is
-    paired with one group-ring expansion of the same power, whose trace,
-    conditional expectation and per-length coefficients are all checked
-    against it; its classes are also checked against the row recurrence.
+    paired with one group-ring expansion of the same power, held as its
+    class lists, whose trace, conditional expectation and per-length
+    coefficients are all checked against it; its classes are also checked
+    against the row recurrence.
     ring_max_order=0 runs the tree oracle alone; a negative one raises
     ``ValueError``.
 
@@ -217,16 +214,17 @@ def verify(
         h = format_word(subgroup_word(rank))
         amalgamated = DiffReport(f"amalgamated moments (rank {rank}, subgroup <{h}>, {orders})")
     radiality = DiffReport(f"radiality of powers (rank {rank}, {orders})")
-    powers = iter_powers(generating_operator(rank), ring_limit, support_cap)
-    for dec, (n, gn) in zip(iter_decompositions(rank, ring_limit), powers):
-        if gn.trace() != constants[n - 1]:
-            scalar.record(f"order {n}: group-ring trace", gn.trace(), constants[n - 1])
+    powers = iter_power_classes(rank, ring_limit, support_cap)
+    for dec, (n, classes) in zip(iter_decompositions(rank, ring_limit), powers):
+        trace = classes[0][0] if 0 in classes else 0
+        if trace != constants[n - 1]:
+            scalar.record(f"order {n}: group-ring trace", trace, constants[n - 1])
         if amalgamated is not None:
-            expected = conditional_expectation(gn)
+            expected = _expectation(rank, classes)
             actual = amalgamated_projection(dec)
             if expected != actual:
                 amalgamated.record(f"order {n}: conditional expectation", expected, actual)
-        _check_radial(radiality, n, gn, dec)
+        _check_radial(radiality, n, rank, classes, dec)
         row = decomposition_of(n, rank).coeffs
         _record_classes(radiality, n, "row recurrence", dec.coeffs, row)
     return [r for r in (scalar, amalgamated, radiality) if r is not None]
@@ -239,49 +237,55 @@ def _compare_tree(report: DiffReport, counts: list[int], constants: Iterable[int
             report.record(f"order {n}: tree-walk count", counts[n], actual)
 
 
+def _expectation(rank: int, classes: Mapping[int, list[int]]) -> LaurentPolynomial:
+    """The conditional expectation onto <h> of a power of G, from its
+    classes: the coefficient of h**e is the entry of h**e, found by its
+    index, in the class of length 2N|e|."""
+    two_n = 2 * rank
+    top = max(classes) // two_n
+    return LaurentPolynomial({
+        e: classes[two_n * abs(e)][_level_index(subgroup_word(rank, e)._packed, rank)]
+        for e in range(-top, top + 1)
+        if two_n * abs(e) in classes
+    })
+
+
 def _check_radial(
-    report: DiffReport, n: int, gn: RingElement, dec: RadialDecomposition
+    report: DiffReport,
+    n: int,
+    rank: int,
+    classes: Mapping[int, list[int]],
+    dec: RadialDecomposition,
 ) -> None:
-    """Expanded G^n must be constant on each word-length class, hold every
-    word of each class it touches, and its per-length constants must equal
-    the recurrence coefficients, class set included."""
-    # Sorted keys hold each length as one run; a run is constant when its
-    # coefficients form a one-element set.  Only a failing run unpacks
-    # words, in dict order, to name the first odd one.
-    terms = gn._terms
-    k = _letter_bits(gn.rank)
-    keys = sorted(terms)
+    """Expanded G^n, as its class lists, must be constant on each class,
+    hold every word of each class it touches (a 0 is a missing word), and
+    its per-length constants must equal the recurrence coefficients,
+    class set included.  The first odd word, in sorted order, is named."""
     by_length: dict[int, int] = {}
-    for m, i, j in _length_runs(keys, k):
-        coeffs = set(map(terms.__getitem__, islice(keys, i, j)))
-        if len(coeffs) > 1:
-            _record_odd_word(report, n, gn)
-            return
-        by_length[m] = coeffs.pop()
-    # distinct words of one length number at most the class size, so a
-    # short support means a word is missing
-    support = sum(reduced_word_count(m, gn.rank) for m in by_length)
-    if len(terms) != support:
-        report.record(f"order {n}: support size", support, len(terms))
+    support = present = 0
+    for m in sorted(classes):
+        coeffs = classes[m]
+        c = coeffs[0]
+        held = len(coeffs)
+        if coeffs.count(c) != held:  # not one coefficient: words missing or odd
+            held -= coeffs.count(0)
+            c = next(filter(None, coeffs))
+            for i, other in enumerate(coeffs):
+                if other and other != c:
+                    word = Word._of(_level(m, rank)[i], rank)
+                    report.record(
+                        f"order {n}, length {m}: coefficient constancy",
+                        f"uniform coefficient {c}",
+                        f"{other} at {format_word(word)}",
+                    )
+                    return
+        if c:
+            by_length[m] = c
+            support += reduced_word_count(m, rank)
+            present += held
+    if present != support:
+        report.record(f"order {n}: support size", support, present)
     _record_classes(report, n, "radial coefficient", dec.coeffs, by_length)
-
-
-def _record_odd_word(report: DiffReport, n: int, gn: RingElement) -> None:
-    """Record the first word, in dict order, whose coefficient differs from
-    the first one seen at its length; gn must have such a word."""
-    terms = gn._terms
-    k = _letter_bits(gn.rank)
-    first: dict[int, int] = {}
-    for w, c in terms.items():
-        m = _packed_length(w, k)
-        seen = first.setdefault(m, c)
-        if seen != c:
-            report.record(
-                f"order {n}, length {m}: coefficient constancy",
-                f"uniform coefficient {seen}",
-                f"{c} at {format_word(Word._of(w, gn.rank))}",
-            )
-            return
 
 
 def _record_classes(

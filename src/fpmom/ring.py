@@ -18,10 +18,13 @@ product in one dict comprehension, and only the cancellations are
 looked up.  ``Word`` stays the type of the public API: the
 constructor and ``coefficient`` read a word's int, ``terms`` wraps each
 int in a ``Word``, and ``to_json`` spells the ints directly.  Sorted,
-the keys of one word length form one run; when a run is a whole length
-class with one coefficient, as every class of a power of G is,
-``to_json`` spells it one join per prefix, each join writing every
-child of that prefix.
+the keys of one word length form one run; a run that is a whole length
+class goes to ``fpmom.words._terms_json`` as one coefficient list.
+
+``iter_power_classes``, the expansion that ``verify`` and ``expand``
+run, skips elements and keys: it holds each power of G as one
+coefficient list per word length, in sorted word order, and multiplies
+by G with two list operations per class (``_times_g``).
 
 Supports of powers of the generating operator grow like (2N-1)^n, so
 every expanding operation takes a term cap (default ``10**8``) and
@@ -38,14 +41,13 @@ from typing import Iterator, Mapping
 from .laurent import LaurentPolynomial
 from .words import (
     Word,
-    _follow,
     _inverse_digit,
     _length_runs,
     _letter_bits,
     _level,
     _packed_length,
     _require_int,
-    _speller,
+    _terms_json,
     format_word,
     reduced_word_count,
 )
@@ -57,6 +59,7 @@ __all__ = [
     "multiply",
     "power",
     "iter_powers",
+    "iter_power_classes",
     "radial_sum",
     "generating_operator",
     "subgroup_word",
@@ -143,7 +146,9 @@ class RingElement:
         if not isinstance(word, Word):
             raise TypeError(f"word must be a Word, got {type(word).__name__}")
         if word.rank != self._rank:
-            return 0
+            raise ValueError(
+                f"word {format_word(word)!r} has rank {word.rank}, element has rank {self._rank}"
+            )
         return self._terms.get(word._packed, 0)
 
     def trace(self) -> int:
@@ -166,80 +171,19 @@ class RingElement:
 
         Terms are in canonical word order, so output is reproducible.  In
         that order the words of one length are one run, and a run that
-        holds a whole length class m >= 2 with one coefficient, as every
-        class of a power of G does, lists every child of every word of
-        length m - 1 in turn.  Such a class is spelled from the spelled
-        prefixes of length m - 1, grown a letter at a time as the classes
-        get longer, with one join per prefix that writes all its children
-        and the shared coefficient.  Any other run is spelled term by
-        term: the words that share a prefix are adjacent, so each prefix
-        is spelled once, and each distinct coefficient is spelled once.
-        Text is joined a few thousand terms or prefixes at a time, so
-        their strings never all live at once.
+        holds a whole length class goes to ``_terms_json`` as the class's
+        coefficient list, which spells a class with one coefficient one
+        join per prefix.
         """
         rank = self._rank
-        k = _letter_bits(rank)
-        mask = (1 << k) - 1
-        lone, tails, spell = _speller(rank)
-        follow = _follow(rank)
         terms = self._terms
         keys = sorted(terms)
-        # text: whole terms in groups, each group followed by a "," piece
-        text = [f'{{"rank":{rank},"terms":[']
-        # the spelled words of length `grown`, and their last digits
-        grown, prefixes, lasts = 1, [spell(d) for d in follow[0]], [*follow[0]]
-        # ends[c][d]: the last letter, digit d, then coefficient c; ends[c][0]: c alone
-        ends: dict[int, list[str]] = {}
-        out: list[str] = []
-        last = head = None
-        for m, i, j in _length_runs(keys, k):
-            if (
-                m >= 2
-                and j - i == reduced_word_count(m, rank)
-                and len(set(map(terms.__getitem__, islice(keys, i, j)))) == 1
-            ):
-                if out:
-                    text += ",".join(out), ","
-                    out.clear()
-                for _ in range(grown, m - 1):  # runs come shortest first
-                    prefixes = [p + tails[d] for p, e in zip(prefixes, lasts) for d in follow[e]]
-                    lasts = [d for e in lasts for d in follow[e]]
-                grown = m - 1
-                sep = f'","coeff":"{terms[keys[i]]}"}},{{"word":"'
-                # prefix.join(parts[e]): every child of a prefix with last digit e
-                parts = [["", *(tails[d] + sep for d in after)] for after in follow]
-                text.append('{"word":"')
-                for a in range(0, len(prefixes), 4096):
-                    b = a + 4096
-                    text.append(
-                        "".join(map(str.join, prefixes[a:b], map(parts.__getitem__, lasts[a:b])))
-                    )
-                text[-1] = text[-1][: -len(',{"word":"')]
-                text.append(",")
-                continue
-            for w in islice(keys, i, j):
-                c = terms[w]
-                end = ends.get(c)
-                if end is None:
-                    coeff = f'","coeff":"{c}"}}'
-                    end = ends[c] = [coeff, *(tail + coeff for tail in tails[1:])]
-                p = w >> k
-                if not p:
-                    out.append('{"word":"' + lone[w] + end[0])
-                    continue
-                if p != last:
-                    last = p
-                    head = '{"word":"' + spell(p)
-                    if len(out) >= 4096:
-                        text += ",".join(out), ","
-                        out.clear()
-                out.append(head + end[w & mask])
-        if out:
-            text += ",".join(out), ","
-        if len(text) > 1:
-            text.pop()  # the last group's ","
-        text.append("]}\n")
-        return "".join(text)
+        runs = (
+            (m, None if j - i == reduced_word_count(m, rank) else keys[i:j],
+             list(map(terms.__getitem__, islice(keys, i, j))))
+            for m, i, j in _length_runs(keys, _letter_bits(rank))
+        )
+        return _terms_json(rank, runs)
 
     def to_json_dict(self) -> dict:
         """The parsed ``to_json``: {"rank": N, "terms": [{"word": ..., "coeff": ...}, ...]}."""
@@ -341,6 +285,68 @@ def iter_powers(
     for n in range(1, max_order + 1):
         acc = multiply(acc, x, support_cap)
         yield n, acc
+
+
+def _times_g(classes: Mapping[int, list[int]], rank: int) -> dict[int, list[int]]:
+    """The classes of x G from the classes of x, shortest first.
+
+    classes[m] lists x's coefficients on the words of length m in
+    ``_level(m, rank)`` order, where a 0 is a missing word.  A word of
+    length m times a letter either extends it to one of its q = 2N - 1
+    children, the block i q ... i q + q - 1 below the word at index i
+    (the 2N letters below the identity), or cancels its last letter and
+    gives its parent.  So class m of x G is class m - 1 with each
+    coefficient repeated over its block of children, plus class m + 1
+    with each block of children summed onto its parent.
+    """
+    q = 2 * rank - 1
+    product = {}
+    for m in sorted({m + s for m in classes for s in (-1, 1)} - {-1}):
+        low, up = classes.get(m - 1), classes.get(m + 1)
+        columns = []
+        if low is not None:
+            width = 2 * rank if m == 1 else q  # children of each word of class m - 1
+            grown = [0] * (len(low) * width)
+            for t in range(width):
+                grown[t::width] = low
+            columns.append(grown)
+        if up is None:
+            product[m] = grown
+            continue
+        # one iterator repeated in zip: each tuple takes one block of children
+        columns += [iter(up)] * (2 * rank if m == 0 else q)
+        product[m] = list(map(sum, zip(*columns)))
+    return product
+
+
+def iter_power_classes(
+    rank: int, max_order: int, support_cap: int | None = None
+) -> Iterator[tuple[int, dict[int, list[int]]]]:
+    """Yield (n, classes) for n = 1..max_order, where classes maps each
+    word length m of G**n to its coefficients on the words of length m, in
+    canonical order (``fpmom.words._level``'s); a 0 would be a missing word.
+
+    Each power is the last times G, taken a class at a time by the group
+    law (``_times_g``), with no ``RingElement`` and no assumption that a
+    class is constant.  Powers of G hold every word of each class they
+    reach, so the cap refuses as ``multiply`` does on the same powers:
+    before a product when its extensions alone exceed the cap, and after
+    it when its support does.
+    """
+    _require_int("rank", rank, 1)
+    _require_int("max_order", max_order, 0)
+    cap = _effective_cap(support_cap)
+    q = 2 * rank - 1
+    classes = {0: [1]}
+    for n in range(1, max_order + 1):
+        needed = sum(len(c) * (q if m else 2 * rank) for m, c in classes.items())
+        if needed > cap:
+            raise SupportCapError(needed, cap, "product")
+        classes = _times_g(classes, rank)
+        support = sum(map(len, classes.values()))
+        if support > cap:
+            raise SupportCapError(support, cap, "product")
+        yield n, classes
 
 
 def radial_sum(n: int, rank: int, support_cap: int | None = None) -> RingElement:

@@ -22,6 +22,10 @@ The identity is 0, and no digit is 0, so
 * the int is never -1, so ``(rank, int)`` hashes without collisions
   between short words.
 
+Sorted, the words of one length m form one class of 2N(2N-1)^(m-1)
+words, the order ``_level`` lists; ``_level_index`` gives a word's index
+in it.
+
 Spelling
 --------
 Compact form (rank <= 26): the i-th lowercase latin letter is the i-th
@@ -33,7 +37,8 @@ without separators (``"abAB"``); the identity is ``"e"``.  Indexed form
 In compact form the lone word for generator 5 would spell ``"e"``, like
 the identity, so ``format_word`` writes the indexed token ``"g5"`` for it
 instead; that keeps the output unambiguous, since no two words spell
-alike.
+alike.  ``_terms_json`` writes group-ring terms as JSON with these rules,
+for ``RingElement.to_json`` and for the ``expand`` command.
 """
 
 from __future__ import annotations
@@ -236,7 +241,13 @@ def _follow(rank: int) -> list[Sequence[int]]:
 
 
 def _level(length: int, rank: int) -> list[int]:
-    """Every packed reduced word of the given length, in canonical order."""
+    """Every packed reduced word of the given length, in canonical order.
+
+    In that order the children of the word at index i, its words times
+    each letter that does not cancel its last one, are the indices
+    i q ... i q + q - 1 of the next level, q = 2N - 1; the identity's
+    children are the 2N letters.
+    """
     k = _letter_bits(rank)
     mask = (1 << k) - 1
     follow = _follow(rank)
@@ -244,3 +255,102 @@ def _level(length: int, rank: int) -> list[int]:
     for _ in range(length):
         level = [(w << k) | d for w in level for d in follow[w & mask]]
     return level
+
+
+def _level_index(w: int, rank: int) -> int:
+    """The index of the packed word w in ``_level(len(w), rank)``.
+
+    Read first letter to last, the place of digit d among the children
+    of a word ending in digit e is follow[e].index(d): d - 1, less one
+    when d is past the inverse of e, the one digit that may not follow e.
+    """
+    k = _letter_bits(rank)
+    mask = (1 << k) - 1
+    q = 2 * rank - 1
+    index, e = 0, 0
+    for shift in range(k * (_packed_length(w, k) - 1), -1, -k):
+        d = w >> shift & mask
+        index = index * q + d - 1 - (e > 0 and d > _inverse_digit(e))
+        e = d
+    return index
+
+
+def _terms_json(rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Sequence[int]]]) -> str:
+    """The JSON text of group-ring terms, newline included:
+    {"rank":N,"terms":[{"word":"...","coeff":"<decimal>"},...]}.
+
+    ``RingElement.to_json`` and the ``expand`` command both write it.
+    Each run is (m, words, coeffs), shortest words first: the sorted
+    packed words of length m and their coefficients, or words None when
+    coeffs lists the whole class of length m in ``_level(m, rank)`` order,
+    where a 0 is a missing word.  A whole class m >= 2 with one
+    coefficient lists every child of every word of length m - 1 in turn,
+    so it is spelled from the spelled prefixes of length m - 1, grown a
+    letter at a time as the classes get longer, with one join per prefix
+    that writes all its children and the shared coefficient.  Any other
+    run is spelled term by term: the words that share a prefix are
+    adjacent, so each prefix is spelled once, and each distinct
+    coefficient is spelled once.  Text is joined a few thousand terms or
+    prefixes at a time, so their strings never all live at once.
+    """
+    k = _letter_bits(rank)
+    mask = (1 << k) - 1
+    lone, tails, spell = _speller(rank)
+    follow = _follow(rank)
+    # text: whole terms in groups, each group followed by a "," piece
+    text = [f'{{"rank":{rank},"terms":[']
+    # the spelled words of length `grown`, and their last digits
+    grown, prefixes, lasts = 1, [spell(d) for d in follow[0]], [*follow[0]]
+    # ends[c][d]: the last letter, digit d, then coefficient c; ends[c][0]: c alone
+    ends: dict[int, list[str]] = {}
+    out: list[str] = []
+    last = head = None
+    for m, words, coeffs in runs:
+        if words is None:
+            if m >= 2 and coeffs.count(coeffs[0]) == len(coeffs):
+                if not coeffs[0]:
+                    continue
+                if out:
+                    text += ",".join(out), ","
+                    out.clear()
+                for _ in range(grown, m - 1):  # runs come shortest first
+                    prefixes = [p + tails[d] for p, e in zip(prefixes, lasts) for d in follow[e]]
+                    lasts = [d for e in lasts for d in follow[e]]
+                grown = m - 1
+                sep = f'","coeff":"{coeffs[0]}"}},{{"word":"'
+                # prefix.join(parts[e]): every child of a prefix with last digit e
+                parts = [["", *(tails[d] + sep for d in after)] for after in follow]
+                text.append('{"word":"')
+                for a in range(0, len(prefixes), 4096):
+                    b = a + 4096
+                    text.append(
+                        "".join(map(str.join, prefixes[a:b], map(parts.__getitem__, lasts[a:b])))
+                    )
+                text[-1] = text[-1][: -len(',{"word":"')]
+                text.append(",")
+                continue
+            words = _level(m, rank)
+        for w, c in zip(words, coeffs):
+            if not c:
+                continue
+            end = ends.get(c)
+            if end is None:
+                coeff = f'","coeff":"{c}"}}'
+                end = ends[c] = [coeff, *(tail + coeff for tail in tails[1:])]
+            p = w >> k
+            if not p:
+                out.append('{"word":"' + lone[w] + end[0])
+                continue
+            if p != last:
+                last = p
+                head = '{"word":"' + spell(p)
+                if len(out) >= 4096:
+                    text += ",".join(out), ","
+                    out.clear()
+            out.append(head + end[w & mask])
+    if out:
+        text += ",".join(out), ","
+    if len(text) > 1:
+        text.pop()  # the last group's ","
+    text.append("]}\n")
+    return "".join(text)

@@ -156,7 +156,7 @@ def test_traced_ring_calls(monkeypatch):
 # fpmom.words defines the packed word format; other modules import these
 PACKED_FORMAT_HELPERS = {
     "_letter_bits", "_inverse_digit", "_packed_length", "_length_runs", "_speller", "_follow",
-    "_level",
+    "_level", "_level_index", "_terms_json",
 }
 
 
@@ -217,6 +217,12 @@ BAD_INT_CALLS = {
     ),
     "power-bool-exponent": (lambda: fpmom.power(G2, True), TypeError, "n"),
     "iter_powers-negative": (lambda: list(fpmom.iter_powers(G2, -1)), ValueError, "max_order"),
+    "iter_power_classes-negative": (
+        lambda: list(fpmom.ring.iter_power_classes(2, -1)), ValueError, "max_order"
+    ),
+    "iter_power_classes-bool-rank": (
+        lambda: list(fpmom.ring.iter_power_classes(True, 2)), TypeError, "rank"
+    ),
     "verify-order-0": (lambda: fpmom.verify(2, 0), ValueError, "max_order"),
     "scalar_series-order-0": (lambda: fpmom.scalar_series(2, 0), ValueError, "max_order"),
     "amalgamated_series-order-0": (

@@ -15,7 +15,7 @@ import fpmom.cli
 import fpmom.oracle
 import fpmom.series
 from fpmom.cli import _COMMANDS, _read_canonical, build_parser, main
-from fpmom.ring import iter_powers
+from fpmom.ring import iter_power_classes
 
 
 def run(capsys, *argv):
@@ -141,13 +141,24 @@ def test_expand_power_zero(capsys):
     assert json.loads(out)["terms"] == [{"word": "e", "coeff": "1"}]
 
 
+CAP_REFUSAL = "error: product needs at least {} terms but the support cap is {}; raise the cap to proceed\n"
+
+
 def test_expand_cap_via_flag(capsys):
-    code, out, err = run(
-        capsys, "expand", "--rank", "2", "--power", "6", "--support-cap", "50"
-    )
-    assert code == 3
-    assert out == ""
-    assert "cap" in err
+    # G^6 at rank 2 holds 1,093 words; G^5's 364 words extend to 1,092 of
+    # them, and the cancellations add the identity.  A cap below a
+    # product's extensions refuses before it is built, naming them; a cap
+    # below its support refuses after, naming the support.  Recorded on the
+    # dict kernel, where verify expands the same powers.
+    for command in (["expand", "--power", "6"], ["verify", "--max-order", "6"]):
+        argv = [command[0], "--rank", "2", *command[1:], "--support-cap"]
+        code, out, _ = run(capsys, *argv, "1093")
+        assert code == 0 and out
+        for cap, needed in ((1092, 1093), (1091, 1092), (120, 121), (50, 120)):
+            code, out, err = run(capsys, *argv, str(cap))
+            assert code == 3
+            assert out == ""
+            assert err == CAP_REFUSAL.format(needed, cap)
 
 
 @pytest.mark.parametrize(
@@ -180,11 +191,11 @@ def test_verify_passes(capsys):
 def test_verify_expands_powers_once(capsys, monkeypatch):
     calls = []
 
-    def counting_iter_powers(*args, **kwargs):
+    def counting_iter_power_classes(*args, **kwargs):
         calls.append(args)
-        return iter_powers(*args, **kwargs)
+        return iter_power_classes(*args, **kwargs)
 
-    monkeypatch.setattr(fpmom.oracle, "iter_powers", counting_iter_powers)
+    monkeypatch.setattr(fpmom.oracle, "iter_power_classes", counting_iter_power_classes)
     code, _, _ = run(capsys, "verify", "--rank", "2", "--max-order", "6")
     assert code == 0
     assert len(calls) == 1
@@ -343,6 +354,16 @@ def test_amalg_writes_what_emit_writes(capsys, rank, fmt):
         assert code == 0
         expected = fpmom.emit(fpmom.amalgamated_series(rank, max_order), fmt)
         assert out.encode("utf-8") == expected, max_order
+
+
+@pytest.mark.parametrize("rank, max_power", [(1, 9), (2, 7), (3, 5), (5, 3), (27, 2)])
+def test_expand_writes_what_to_json_writes(capsys, rank, max_power):
+    # expand spells class lists; to_json spells the dict power's sorted keys
+    g = fpmom.generating_operator(rank)
+    for n in range(max_power + 1):
+        code, out, _ = run(capsys, "expand", "--rank", str(rank), "--power", str(n))
+        assert code == 0
+        assert out == fpmom.power(g, n).to_json(), n
 
 
 def _kesten(rank, k_max):
@@ -525,6 +546,11 @@ GOLDEN_STDOUT = {
         "e6401a7ac7abfd206587015834c73e4781ae5ef25d66dfae1e76465d9361b0a9",
     "expand --rank 30 --power 3":
         "613cdac5b40e3729667e58b34a3f0d816982a56f3d104220f3803acd25e772fd",
+    # recorded while expand still spelled a RingElement's sorted keys: the
+    # top class (length 10) has 4 * 3^8 = 26,244 prefixes, so its prefix
+    # joins cross the 4,096-prefix chunk boundary six times
+    "expand --rank 2 --power 10":
+        "adfcdb7eb6ac18f8c24a1026b6921e5d7a8656fa0ac26e97206ef2356caae9b7",
 }
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -13,14 +14,15 @@ from fpmom.oracle import (
     Mismatch,
     _check_radial,
     _compare_tree,
+    _expectation,
     brute_force_budget,
     returning_walks,
     self_test,
     verify,
 )
 from fpmom.recurrence import RadialDecomposition, _scalar_moments, decomposition_of
-from fpmom.ring import RingElement, generating_operator, power
-from fpmom.words import Word, reduced_word_count
+from fpmom.ring import RingElement, conditional_expectation, generating_operator, power
+from fpmom.words import Word, _level, _level_index, reduced_word_count
 
 
 def _returning_by_distance(rank, max_steps):
@@ -136,17 +138,15 @@ def test_verify_validation():
 def test_radiality_catches_a_dropped_word(monkeypatch):
     # a power missing one word of a class is still constant on the words it
     # holds and keeps its per-length coefficients; only its support is short
-    real = fpmom.oracle.iter_powers
+    real = fpmom.oracle.iter_power_classes
 
-    def dropping_iter_powers(*args, **kwargs):
-        for n, gn in real(*args, **kwargs):
+    def dropping_iter_power_classes(*args, **kwargs):
+        for n, classes in real(*args, **kwargs):
             if n == 4:
-                terms = dict(gn.terms)
-                del terms[Word([1, 2], rank=2)]
-                gn = RingElement(2, terms)
-            yield n, gn
+                classes[2][_level_index(Word([1, 2], rank=2)._packed, 2)] = 0
+            yield n, classes
 
-    monkeypatch.setattr(fpmom.oracle, "iter_powers", dropping_iter_powers)
+    monkeypatch.setattr(fpmom.oracle, "iter_power_classes", dropping_iter_power_classes)
     scalar, amalgamated, radiality = verify(2, 4)
     assert scalar.passed and amalgamated.passed
     assert radiality.mismatches == [Mismatch("order 4: support size", "121", "120")]
@@ -246,25 +246,43 @@ def test_fault_is_localized():
     assert report.mismatches == [Mismatch("order 6: tree-walk count", "237", "232")]
 
 
+def _classes(gn):
+    """gn's coefficients as class lists, one per length it touches, in the
+    order of ``_level``, with 0 for a missing word."""
+    lengths = {len(word) for word in gn.terms}
+    return {m: [gn.coefficient(Word._of(w, gn.rank)) for w in _level(m, gn.rank)]
+            for m in sorted(lengths)}
+
+
+def _sorted_words(gn):
+    """gn's words in canonical order, read off their letter codes: length
+    first, then letter by letter a < A < b < B < ..."""
+    def key(word):
+        codes = word.codes
+        return len(codes), [2 * c - 1 if c > 0 else -2 * c for c in codes]
+    return sorted(gn.terms, key=key)
+
+
 def test_radiality_check_names_the_odd_word():
     g3 = power(generating_operator(2), 3)
     dec = decomposition_of(3, 2)
     report = DiffReport("radiality")
-    _check_radial(report, 3, g3, dec)
+    _check_radial(report, 3, 2, _classes(g3), dec)
     assert report.passed
     terms = dict(g3.terms)
     terms[Word([-2, -2, -2], rank=2)] += 1
-    _check_radial(report, 3, RingElement(2, terms), dec)
+    _check_radial(report, 3, 2, _classes(RingElement(2, terms)), dec)
     assert [tuple(m) for m in report.mismatches] == [
         ("order 3, length 3: coefficient constancy", "uniform coefficient 1", "2 at BBB")
     ]
 
 
 def _reference_check_radial(report, n, gn, dec):
-    """``_check_radial`` with each length read off the word's letter codes."""
+    """``_check_radial`` on the words of gn, in canonical order, with each
+    length read off the word's letter codes."""
     by_length = {}
-    for word, c in gn.terms.items():
-        m = len(word.codes)
+    for word in _sorted_words(gn):
+        m, c = len(word.codes), gn.coefficient(word)
         seen = by_length.setdefault(m, c)
         if seen != c:
             report.record(
@@ -282,48 +300,57 @@ def _reference_check_radial(report, n, gn, dec):
             report.record(f"order {n}, length {m}: radial coefficient", want, got)
 
 
+def _check_both(n, gn, dec):
+    """The mismatches of ``_check_radial`` on gn's class lists, which must
+    equal the reference's."""
+    report, reference = DiffReport("radiality"), DiffReport("radiality")
+    _check_radial(report, n, gn.rank, _classes(gn), dec)
+    _reference_check_radial(reference, n, gn, dec)
+    assert report.mismatches == reference.mismatches
+    return report.mismatches
+
+
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_radiality_check_at_the_edges_of_the_length_table(rank):
-    # the largest digit, 2N, fills all k bits of a letter, so a word that
-    # starts with it has a bit length that is a multiple of k; the identity
-    # has bit length 0
+    # the first and the last word of a class, and the identity, are the
+    # edges of the class lists; the largest digit, 2N, fills all k bits of a
+    # letter, so the last word has a bit length that is a multiple of k
     k = (2 * rank).bit_length()
     for n in (3, 4) if rank <= 4 else (2, 3):  # G^4 at rank 8 has 54,241 terms
         gn = power(generating_operator(rank), n)
         dec = decomposition_of(n, rank)
         report = DiffReport("radiality")
-        _check_radial(report, n, gn, dec)
+        _check_radial(report, n, rank, _classes(gn), dec)
         assert report.passed
-        top = max(gn.terms, key=lambda word: word._packed)
+        words = _sorted_words(gn)
+        top = words[-1]
         assert len(top) == n and top._packed.bit_length() == n * k
-        for word in [top, Word(rank=rank)] if n % 2 == 0 else [top]:
+        first = next(word for word in words if len(word) == n)
+        for word in [top, first, Word(rank=rank)] if n % 2 == 0 else [top, first]:
             terms = dict(gn.terms)
             terms[word] += 1
-            perturbed = RingElement(rank, terms)
-            report, reference = DiffReport("radiality"), DiffReport("radiality")
-            _check_radial(report, n, perturbed, dec)
-            _reference_check_radial(reference, n, perturbed, dec)
-            assert report.mismatches == reference.mismatches
-            assert report.mismatches[0].location.startswith(f"order {n}, length {len(word)}: ")
+            mismatches = _check_both(n, RingElement(rank, terms), dec)
+            assert mismatches[0].location.startswith(f"order {n}, length {len(word)}: ")
 
 
 @pytest.mark.parametrize("rank, n", [(2, 5), (2, 6), (3, 4)])
-def test_radiality_check_names_odd_words_in_dict_order(rank, n):
-    # runs of sorted words find a failing class; the word named is still the
-    # first odd one in dict order, even in a class after the first one there
-    # or when a shorter class fails too
+def test_radiality_check_names_odd_words_in_sorted_order(rank, n):
+    # the word named is the first odd one in canonical order: shortest
+    # class first, and within a class the first word that differs from the
+    # class's first word, which may itself be the odd one out
     gn = power(generating_operator(rank), n)
     dec = decomposition_of(n, rank)
-    words = list(gn.terms)
-    by_class = {}  # the classes of two or more words
+    words = _sorted_words(gn)
+    by_class = {}  # the classes of two or more words, shortest first
     for word in words:
         if len(word):
             by_class.setdefault(len(word), []).append(word)
     first, *later = by_class
-    assert later  # classes in the order dict order first meets them
+    assert later
     cases = [
         [by_class[later[0]][1]],
         [by_class[later[-1]][-1]],
+        [by_class[later[-1]][0]],
         [by_class[first][-1], by_class[later[0]][1]],
         [by_class[max(by_class)][2], by_class[min(by_class)][-1]],
     ]
@@ -331,32 +358,40 @@ def test_radiality_check_names_odd_words_in_dict_order(rank, n):
         terms = dict(gn.terms)
         for word in odd:
             terms[word] += 1
-        perturbed = RingElement(rank, terms)
-        report, reference = DiffReport("radiality"), DiffReport("radiality")
-        _check_radial(report, n, perturbed, dec)
-        _reference_check_radial(reference, n, perturbed, dec)
-        assert report.mismatches == reference.mismatches
+        mismatches = _check_both(n, RingElement(rank, terms), dec)
         named = min(odd, key=words.index)
-        assert report.mismatches[0].location == (
-            f"order {n}, length {len(named)}: coefficient constancy"
-        )
+        assert mismatches[0].location == f"order {n}, length {len(named)}: coefficient constancy"
 
 
 @pytest.mark.parametrize("rank, n", [(2, 5), (3, 4)])
 def test_radiality_check_counts_a_missing_word(rank, n):
+    # a missing word is a 0 entry in its class list, the first one included
     gn = power(generating_operator(rank), n)
     dec = decomposition_of(n, rank)
     for m in (n, n - 2):
-        terms = dict(gn.terms)
-        del terms[next(word for word in terms if len(word) == m)]
-        short = RingElement(rank, terms)
-        report, reference = DiffReport("radiality"), DiffReport("radiality")
-        _check_radial(report, n, short, dec)
-        _reference_check_radial(reference, n, short, dec)
-        assert report.mismatches == reference.mismatches
-        assert [tuple(mismatch) for mismatch in report.mismatches] == [
-            (f"order {n}: support size", str(gn.support_size), str(gn.support_size - 1))
-        ]
+        class_words = [word for word in _sorted_words(gn) if len(word) == m]
+        for dropped in (class_words[0], class_words[-1]):
+            terms = dict(gn.terms)
+            del terms[dropped]
+            assert [tuple(mismatch) for mismatch in _check_both(n, RingElement(rank, terms), dec)] == [
+                (f"order {n}: support size", str(gn.support_size), str(gn.support_size - 1))
+            ]
+
+
+@pytest.mark.parametrize("rank, lengths", [(2, (0, 4, 8)), (3, (0, 2, 6))])
+def test_expectation_reads_each_power_of_h_at_its_index(rank, lengths):
+    # random class lists, zeros included, so every word of a class differs:
+    # E must read h^k at its own index, as conditional_expectation reads it
+    # off the element
+    rng = random.Random(5100 + rank)
+    for _ in range(5):
+        classes = {m: [rng.choice((0, 1, 2, -5, 9)) for _ in range(reduced_word_count(m, rank))]
+                   for m in lengths}
+        element = RingElement(rank, {
+            Word._of(w, rank): c for m, coeffs in classes.items()
+            for w, c in zip(_level(m, rank), coeffs)
+        })
+        assert _expectation(rank, classes) == conditional_expectation(element)
 
 
 def test_diff_report_is_a_plain_value():

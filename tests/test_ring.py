@@ -11,14 +11,16 @@ from fpmom.ring import (
     RingElement,
     SupportCapError,
     conditional_expectation,
+    _times_g,
     generating_operator,
+    iter_power_classes,
     iter_powers,
     multiply,
     power,
     radial_sum,
     subgroup_word,
 )
-from fpmom.words import Word, format_word, reduced_word_count
+from fpmom.words import Word, _level, format_word, reduced_word_count
 
 
 def _combination(*scaled):
@@ -588,6 +590,75 @@ def test_coefficient_refuses_a_non_word():
     with pytest.raises(TypeError, match="Word"):
         g2.coefficient(0)  # type: ignore[arg-type]
     assert g2.coefficient(Word(rank=2)) == 4
+
+
+def test_coefficient_refuses_a_word_of_another_rank():
+    # as the constructor refuses it; it used to read 0
+    g2 = power(generating_operator(2), 2)
+    with pytest.raises(ValueError, match=r"^word 'e' has rank 3, element has rank 2$"):
+        g2.coefficient(Word(rank=3))
+    with pytest.raises(ValueError, match=r"^word 'aa' has rank 1, element has rank 2$"):
+        g2.coefficient(Word([1, 1], rank=1))
+
+
+def _element_of(classes, rank):
+    """The element whose class lists, in ``_level`` order, are classes."""
+    return RingElement(rank, {
+        Word._of(w, rank): c
+        for m, coeffs in classes.items()
+        for w, c in zip(_level(m, rank), coeffs)
+    })
+
+
+# ranks 1, 2 and 3 reach length 5; the larger ranks stop at their last class
+# of at most 8,000 words
+@pytest.mark.parametrize("rank", (1, 2, 3, 5, 8, 27))
+def test_class_kernel_matches_multiply_on_any_classes(rank):
+    # random coefficients, zeros (missing words) and big ints included: the
+    # classes of powers of G are uniform, so only input like this pins the
+    # law that puts the children of word i at i q ... i q + q - 1
+    rng = random.Random(4500 + rank)
+    g = generating_operator(rank)
+    lengths = [m for m in range(6) if reduced_word_count(m, rank) <= 8000]
+    for _ in range(4):
+        chosen = sorted(rng.sample(lengths, rng.randint(1, len(lengths))))
+        classes = {
+            m: [rng.choice((0, 0, 1, -1, 2, 7, -3, 10**20 + 3)) for _ in range(reduced_word_count(m, rank))]
+            for m in chosen
+        }
+        got = _times_g(classes, rank)
+        assert list(got) == sorted(got)
+        assert all(len(coeffs) == reduced_word_count(m, rank) for m, coeffs in got.items())
+        assert _element_of(got, rank) == multiply(_element_of(classes, rank), g)
+
+
+@pytest.mark.parametrize("rank, n", [(1, 9), (2, 7), (3, 5), (8, 3), (27, 2)])
+def test_power_classes_match_iter_powers(rank, n):
+    g = generating_operator(rank)
+    pairs = zip(iter_powers(g, n), iter_power_classes(rank, n))
+    for (n1, gn), (n2, classes) in pairs:
+        assert n1 == n2
+        assert set(classes) == set(range(n1 % 2, n1 + 1, 2))
+        assert _element_of(classes, rank) == gn
+    assert list(iter_power_classes(rank, 0)) == []
+
+
+@pytest.mark.parametrize("rank, n, support", [(2, 5, 364), (2, 6, 1093), (3, 4, 781)])
+def test_power_classes_refuse_where_power_does(rank, n, support):
+    # refused before a product whose extensions exceed the cap, and after one
+    # whose support does, naming the same count as multiply
+    g = generating_operator(rank)
+    for cap in (support, support - 1, support - 2):
+        try:
+            expected = power(g, n, support_cap=cap).support_size
+        except SupportCapError as exc:
+            expected = str(exc)
+        try:
+            *_, (_, classes) = iter_power_classes(rank, n, support_cap=cap)
+            got = sum(map(len, classes.values()))
+        except SupportCapError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 @pytest.mark.parametrize("rank", (2, 3, 4, 8, 27))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fpmom.ring import RingElement, multiply, radial_sum, subgroup_word
-from fpmom.words import Word, _length_runs, format_word, reduced_word_count
+from fpmom.words import Word, _length_runs, _level, _level_index, format_word, reduced_word_count
 
 
 def _times(u, v):
@@ -241,3 +241,13 @@ def test_long_word_round_trip(rank, k):
     assert text == format_word(subgroup_word(rank)) * k
     assert h.inverse() == subgroup_word(rank, -k)
     assert len(Word(codes + h.inverse().codes, rank=rank)) == 0
+
+
+@pytest.mark.parametrize("rank, max_length", [(1, 8), (2, 6), (3, 5), (5, 4), (8, 3), (27, 2)])
+def test_level_index_inverts_level(rank, max_length):
+    # the index of each word of a class in _level's order, which the class
+    # lists of powers of G share
+    for m in range(max_length + 1):
+        level = _level(m, rank)
+        assert level == sorted(level)
+        assert [_level_index(w, rank) for w in level] == list(range(len(level)))
