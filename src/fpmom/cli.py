@@ -7,10 +7,15 @@
     fpmom verify  --rank 2 --max-order 12 --oracle both
     fpmom verify  --self-test
 
-Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error (including an --output
-that cannot be written; a missing parent directory, a directory or an
-empty path is refused before any computation), 3 resource cap hit.
+Data goes to stdout (or --output), diagnostics to stderr.  Every command
+streams its data: the writers yield text in bounded chunks
+(``fpmom.words._CHUNK`` characters at most), and `_write_output` writes
+each chunk as it comes, so a run never holds its whole output; a write
+that fails mid-run (a full disk, a closed pipe) can leave partial
+output behind.  Exit codes: 0 success, 1 verification failure, 2 usage
+error (including an --output that cannot be written; a missing parent
+directory, a directory or an empty path is refused before any
+computation), 3 resource cap hit.
 Each subcommand's flags are declared once, in the table `_COMMANDS`.  `main`
 reads a canonical argv (a command, then each flag at most once as
 ``--flag value``) straight off that table, so a plain run never imports
@@ -31,7 +36,7 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .recurrence import decomposition_of
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes
@@ -103,15 +108,19 @@ def _check_output(args: argparse.Namespace) -> None:
     raise _UsageError(f"cannot write {path}: {os.strerror(err)}")
 
 
-def _write_output(args: argparse.Namespace, text: str) -> None:
-    if args.output is not None:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.output}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+def _write_output(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write each chunk, as it comes, to --output or to stdout."""
+    if args.output is None:
+        write = sys.stdout.write
+        for chunk in chunks:
+            write(chunk)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.output}: {exc.strerror}")
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:
@@ -127,7 +136,7 @@ def cmd_amalg(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) -> str:
+def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) -> Iterator[str]:
     if args.format == "json":
         fields = {"rank": args.rank, "power": args.power}
         return write_json(fields, rows, names=("m", "coeff"), entries="coeffs")
@@ -152,9 +161,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     classes = {0: [1]}  # G^0
     for _, classes in iter_power_classes(args.rank, args.power, args.support_cap):
         pass
-    text = _terms_json(args.rank, ((m, None, coeffs) for m, coeffs in classes.items()))
-    del classes  # freed before the text is written
-    _write_output(args, text)
+    _write_output(args, _terms_json(args.rank, ((m, None, c) for m, c in classes.items())))
     return EXIT_OK
 
 
@@ -193,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({len(report.mismatches)} mismatches)",
             file=sys.stderr,
         )
-    _write_output(args, "\n".join(out_lines) + "\n")
+    _write_output(args, ["\n".join(out_lines) + "\n"])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 

@@ -173,7 +173,7 @@ class RingElement:
         that order the words of one length are one run, and a run that
         holds a whole length class goes to ``_terms_json`` as the class's
         coefficient list, which spells a class with one coefficient one
-        join per prefix.
+        join per stem.  The text is the join of ``_terms_json``'s chunks.
         """
         rank = self._rank
         terms = self._terms
@@ -183,7 +183,7 @@ class RingElement:
              list(map(terms.__getitem__, islice(keys, i, j))))
             for m, i, j in _length_runs(keys, _letter_bits(rank))
         )
-        return _terms_json(rank, runs)
+        return "".join(_terms_json(rank, runs))
 
     def to_json_dict(self) -> dict:
         """The parsed ``to_json``: {"rank": N, "terms": [{"word": ..., "coeff": ...}, ...]}."""

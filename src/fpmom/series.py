@@ -7,12 +7,18 @@ A writer takes rows (label, cell).  A cell is either one value spelled
 as a decimal string, or a Laurent polynomial as (exps, coeffs): its
 exponents, ascending, and its nonzero coefficients spelled as decimals.
 Writers spell only labels and exponents, each exponent's text once per
-run (through ``functools.cache``), and return text.  ``emit`` feeds them
-a ``MomentSeries`` and returns UTF-8 bytes.  ``amalgamated_rows`` feeds them E(G^n) straight from
-the chain's classes, spelling each coefficient once for both h^k and
-h^-k, with no ``LaurentPolynomial`` or ``MomentSeries`` on the way;
-``fpmom amalg`` writes through it, and ``fpmom xdecomp`` feeds its rows
-to ``write_json`` and ``write_csv``.
+run (through ``functools.cache``).  A writer streams: it checks its
+arguments at the call and returns a generator of text chunks, each at
+most ``fpmom.words._CHUNK`` characters, which reads and spells the rows
+only as the chunks are asked for.  A decimal cell is copied into its
+row's piece; a polynomial's text, which can be long, is a piece of its
+own, so it is never copied before its chunk is joined.  ``emit`` feeds
+them a ``MomentSeries`` and returns the join of the chunks as UTF-8
+bytes.  ``amalgamated_rows`` feeds them E(G^n) straight from the chain's
+classes, spelling each coefficient once for both h^k and h^-k, with no
+``LaurentPolynomial`` or ``MomentSeries`` on the way; ``fpmom amalg``
+writes through it, and ``fpmom xdecomp`` feeds its rows to
+``write_json`` and ``write_csv``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .recurrence import (
     amalgamated_projection,
     iter_decompositions,
 )
-from .words import _require_int
+from .words import _chunks, _require_int
 
 __all__ = [
     "MomentSeries",
@@ -153,58 +159,78 @@ def write_json(
     rows: Iterable[Row],
     names: tuple[str, str] = ("n", "value"),
     entries: str = "entries",
-) -> str:
+) -> Iterator[str]:
     """One line of JSON: the object ``fields``, then the list ``entries``
     holding ``{names[0]: label, names[1]: cell}`` per row.  A decimal cell
-    is a JSON string, a polynomial a list of ``{"exp":k,"coeff":"c"}``."""
-    label, value = names
+    is a JSON string, a polynomial a list of ``{"exp":k,"coeff":"c"}``.
+    ``fields`` is spelled at the call, so a field JSON cannot hold raises
+    there."""
+    head = json.dumps(fields, separators=(",", ":"))[:-1] + f',"{entries}":['
+    return _chunks(_json_pieces(head, rows, *names))
+
+
+def _json_pieces(opening: str, rows: Iterable[Row], label: str, value: str) -> Iterator[str]:
     prefix = cache(_JSON_PREFIX)
-    parts = [json.dumps(fields, separators=(",", ":"))[:-1], f',"{entries}":[']
+    yield opening
     sep = ""
     for n, cell in rows:
         head = f'{sep}{{"{label}":{n},"{value}":'
         sep = ","
         if type(cell) is str:
-            parts.append(f'{head}"{cell}"}}')
+            yield f'{head}"{cell}"}}'
         elif cell[1]:
             exps, coeffs = cell
-            parts.append(head + "[")
-            parts.append('"},'.join(map(add, map(prefix, exps), coeffs)))
-            parts.append('"}]}')
+            yield head + "["
+            yield '"},'.join(map(add, map(prefix, exps), coeffs))
+            yield '"}]}'
         else:
-            parts.append(head + "[]}")
-    parts.append("]}\n")
-    return "".join(parts)
+            yield head + "[]}"
+    yield "]}\n"
 
 
-def write_csv(rows: Iterable[Row], header: str = "n,value") -> str:
+def write_csv(rows: Iterable[Row], header: str = "n,value") -> Iterator[str]:
     """``header``, then ``label,cell`` per row; a polynomial cell is
     ``k:c;k:c;...``, empty for zero."""
+    return _chunks(_csv_pieces(rows, header))
+
+
+def _csv_pieces(rows: Iterable[Row], header: str) -> Iterator[str]:
     prefix = cache(_CSV_PREFIX)
-    parts = [header]
+    yield header
     for n, cell in rows:
-        parts.append(f"\n{n},")
-        parts.append(cell if type(cell) is str else _csv_terms(*cell, prefix))
-    parts.append("\n")
-    return "".join(parts)
+        if type(cell) is str:
+            yield f"\n{n},{cell}"
+        else:
+            yield f"\n{n},"
+            yield _csv_terms(*cell, prefix)
+    yield "\n"
 
 
-def write_tex(rows: Iterable[Row]) -> str:
+def write_tex(rows: Iterable[Row]) -> Iterator[str]:
     """A two-column tabular, ``$label$ & $cell$`` per row; a polynomial
     cell is its terms in h, highest power first."""
+    return _chunks(_tex_pieces(rows))
+
+
+def _tex_pieces(rows: Iterable[Row]) -> Iterator[str]:
     power = cache(_tex_power)
-    parts = ["\\begin{tabular}{rl}\n\\hline\n$n$ & moment \\\\\n\\hline\n"]
+    yield "\\begin{tabular}{rl}\n\\hline\n$n$ & moment \\\\\n\\hline\n"
     for n, cell in rows:
-        parts.append(f"${n}$ & $")
-        parts.append(cell if type(cell) is str else _signed_sum(*cell, power))
-        parts.append("$ \\\\\n")
-    parts.append("\\hline\n\\end{tabular}\n")
-    return "".join(parts)
+        if type(cell) is str:
+            yield f"${n}$ & ${cell}$ \\\\\n"
+        else:
+            yield f"${n}$ & $"
+            yield _signed_sum(*cell, power)
+            yield "$ \\\\\n"
+    yield "\\hline\n\\end{tabular}\n"
 
 
-def write_series(fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[Row]) -> str:
-    """The rows of a moment series (orders 1..max_order) as text in one of
-    FORMATS; ``emit`` of the same series gives this text as UTF-8 bytes."""
+def write_series(
+    fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[Row]
+) -> Iterator[str]:
+    """The chunks of text of a moment series' rows (orders 1..max_order)
+    in one of FORMATS; ``emit`` of the same series gives their join as
+    UTF-8 bytes.  An unknown format raises at the call."""
     if fmt == "json":
         fields = {
             "rank": rank,
@@ -228,4 +254,5 @@ def emit(series: MomentSeries, fmt: str) -> bytes:
     else:
         cells = (v._spelled() for v in series.values)
     rows = enumerate(cells, 1)
-    return write_series(fmt, series.rank, series.kind, series.max_order, rows).encode("utf-8")
+    chunks = write_series(fmt, series.rank, series.kind, series.max_order, rows)
+    return "".join(chunks).encode("utf-8")

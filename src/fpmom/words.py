@@ -38,12 +38,14 @@ In compact form the lone word for generator 5 would spell ``"e"``, like
 the identity, so ``format_word`` writes the indexed token ``"g5"`` for it
 instead; that keeps the output unambiguous, since no two words spell
 alike.  ``_terms_json`` writes group-ring terms as JSON with these rules,
-for ``RingElement.to_json`` and for the ``expand`` command.
+in chunks of at most ``_CHUNK`` characters (``_chunks``), for
+``RingElement.to_json`` and for the ``expand`` command.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -275,59 +277,126 @@ def _level_index(w: int, rank: int) -> int:
     return index
 
 
-def _terms_json(rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Sequence[int]]]) -> str:
-    """The JSON text of group-ring terms, newline included:
+# The longest chunk of text a writer yields, in characters.  A chunk's
+# string, and its UTF-8 copy on the way out, stay well under glibc's
+# 128 KiB mmap threshold, so their buffers are reused from the heap
+# instead of taking fresh pages.
+_CHUNK = 1 << 15
+
+
+def _chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces of a text, joined in order into chunks of at most
+    ``_CHUNK`` characters.
+
+    Pieces are joined a run of ``count`` at a time, where ``count``
+    doubles while the joins come out short and shrinks to aim at half a
+    chunk, so no piece's length is added up in Python; a join that comes
+    out too long is cut.
+    """
+    limit = _CHUNK
+    pieces = iter(pieces)
+    count = 1
+    while run := list(islice(pieces, count)):
+        chunk = "".join(run)
+        size = len(chunk)
+        if size > limit:
+            yield from (chunk[i : i + limit] for i in range(0, size, limit))
+        elif size:
+            yield chunk
+        count = max(1, min(2 * count, count * limit // (2 * size or 1)))
+
+
+def _terms_json(
+    rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Sequence[int]]]
+) -> Iterator[str]:
+    """The JSON text of group-ring terms, newline included, in chunks of
+    at most ``_CHUNK`` characters, each yielded as soon as it is ready:
     {"rank":N,"terms":[{"word":"...","coeff":"<decimal>"},...]}.
 
-    ``RingElement.to_json`` and the ``expand`` command both write it.
-    Each run is (m, words, coeffs), shortest words first: the sorted
-    packed words of length m and their coefficients, or words None when
-    coeffs lists the whole class of length m in ``_level(m, rank)`` order,
-    where a 0 is a missing word.  A whole class m >= 2 with one
-    coefficient lists every child of every word of length m - 1 in turn,
-    so it is spelled from the spelled prefixes of length m - 1, grown a
-    letter at a time as the classes get longer, with one join per prefix
-    that writes all its children and the shared coefficient.  Any other
-    run is spelled term by term: the words that share a prefix are
-    adjacent, so each prefix is spelled once, and each distinct
-    coefficient is spelled once.  Text is joined a few thousand terms or
-    prefixes at a time, so their strings never all live at once.
+    ``RingElement.to_json`` joins the chunks; the ``expand`` command writes
+    them.  Each run is (m, words, coeffs), shortest words first: the
+    sorted packed words of length m and their coefficients, or words None
+    when coeffs lists the whole class of length m in ``_level(m, rank)``
+    order, where a 0 is a missing word.  A whole class m >= 2 with one
+    coefficient lists, stem by stem, each stem (a word of length m - t)
+    followed by every word of length t that may follow it, so it is
+    spelled one join per stem from the spelled words of lengths m - t and
+    t; t is the longest length whose (2N - 1)^t terms fit in a chunk,
+    which keeps both lists short.  Any other run is spelled term by term:
+    the words that share a prefix are adjacent, so each prefix is spelled
+    once, and each distinct coefficient is spelled once.  Its terms are
+    joined a few hundred at a time, so their strings never all live at
+    once.
     """
+    return _chunks(_terms_pieces(rank, runs))
+
+
+def _terms_pieces(
+    rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Sequence[int]]]
+) -> Iterator[str]:
     k = _letter_bits(rank)
     mask = (1 << k) - 1
+    q = 2 * rank - 1
     lone, tails, spell = _speller(rank)
     follow = _follow(rank)
-    # text: whole terms in groups, each group followed by a "," piece
-    text = [f'{{"rank":{rank},"terms":[']
-    # the spelled words of length `grown`, and their last digits
-    grown, prefixes, lasts = 1, [spell(d) for d in follow[0]], [*follow[0]]
+    gap = tails[0]  # between two letters
+    widest = max(map(len, tails)) - len(gap)  # the longest letter
+    # kept[n]: the spelled words of length n, in canonical order, and their
+    # last digits; only the lengths that the last whole class used are kept
+    kept = {1: ([spell(d) for d in follow[0]], [*follow[0]])}
+
+    def spelled(n: int) -> tuple[list[str], list[int]]:
+        base = max(b for b in kept if b <= n)
+        texts, lasts = kept[base]
+        for _ in range(base, n):
+            texts = [p + tails[d] for p, e in zip(texts, lasts) for d in follow[e]]
+            lasts = [d for e in lasts for d in follow[e]]
+        return texts, lasts
+
     # ends[c][d]: the last letter, digit d, then coefficient c; ends[c][0]: c alone
     ends: dict[int, list[str]] = {}
     out: list[str] = []
     last = head = None
+    comma = ""  # before the next group of terms
+    yield f'{{"rank":{rank},"terms":['
     for m, words, coeffs in runs:
         if words is None:
             if m >= 2 and coeffs.count(coeffs[0]) == len(coeffs):
                 if not coeffs[0]:
                     continue
                 if out:
-                    text += ",".join(out), ","
+                    yield comma
+                    yield ",".join(out)
                     out.clear()
-                for _ in range(grown, m - 1):  # runs come shortest first
-                    prefixes = [p + tails[d] for p, e in zip(prefixes, lasts) for d in follow[e]]
-                    lasts = [d for e in lasts for d in follow[e]]
-                grown = m - 1
-                sep = f'","coeff":"{coeffs[0]}"}},{{"word":"'
-                # prefix.join(parts[e]): every child of a prefix with last digit e
-                parts = [["", *(tails[d] + sep for d in after)] for after in follow]
-                text.append('{"word":"')
-                for a in range(0, len(prefixes), 4096):
-                    b = a + 4096
-                    text.append(
-                        "".join(map(str.join, prefixes[a:b], map(parts.__getitem__, lasts[a:b])))
-                    )
-                text[-1] = text[-1][: -len(',{"word":"')]
-                text.append(",")
+                    comma = ","
+                close = f'","coeff":"{coeffs[0]}"}}'
+                between = close + ',{"word":"'  # between two words of the class
+                width = len(between) + m * widest + (m - 1) * len(gap)  # the widest term
+                t = 1
+                while t < m - 1 and q ** (t + 1) * width <= _CHUNK:
+                    t += 1
+                stems, lasts = spelled(m - t)
+                suffixes = spelled(t)
+                kept = {1: kept[1], t: suffixes, m - t: (stems, lasts)}
+                # after[e]: "", then the words of length t that may follow a
+                # last digit e: all but the block that begins with its inverse
+                texts, block = suffixes[0], q ** (t - 1)
+                after = [[]] + [
+                    ["", *texts[:i], *texts[i + block :]]
+                    for i in ((_inverse_digit(e) - 1) * block for e in follow[0])
+                ]
+                # (between + stem + gap).join(after[e]) is between, then each
+                # word the stem begins, between them too
+                per = max(1, _CHUNK // (q**t * width))  # stems per chunk
+                skip = len(close) + (not comma)  # the first "between" closes no term
+                for a in range(0, len(stems), per):
+                    b = a + per
+                    heads = [between + p + gap for p in stems[a:b]]
+                    chunk = "".join(map(str.join, heads, map(after.__getitem__, lasts[a:b])))
+                    yield chunk[skip:] if skip else chunk
+                    skip = 0
+                yield close
+                comma = ","
                 continue
             words = _level(m, rank)
         for w, c in zip(words, coeffs):
@@ -344,13 +413,13 @@ def _terms_json(rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Seque
             if p != last:
                 last = p
                 head = '{"word":"' + spell(p)
-                if len(out) >= 4096:
-                    text += ",".join(out), ","
+                if len(out) >= 256:
+                    yield comma
+                    yield ",".join(out)
                     out.clear()
+                    comma = ","
             out.append(head + end[w & mask])
     if out:
-        text += ",".join(out), ","
-    if len(text) > 1:
-        text.pop()  # the last group's ","
-    text.append("]}\n")
-    return "".join(text)
+        yield comma
+        yield ",".join(out)
+    yield "]}\n"

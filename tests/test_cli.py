@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import fpmom
 import fpmom.cli
 import fpmom.oracle
 import fpmom.series
+import fpmom.words
 from fpmom.cli import _COMMANDS, _read_canonical, build_parser, main
 from fpmom.ring import iter_power_classes
 
@@ -576,6 +578,74 @@ def test_self_test_golden_output(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SELF_TEST_STDOUT[command]
+
+
+# sha256 and length of stdout, recorded while every command built its whole
+# text and wrote it in one piece
+STREAMED_STDOUT = {
+    "expand --rank 3 --power 6":
+        ("113606bee9fa4808f28a745bcb7ed991b43b81cc71974529f0d0dc24fd898900", 585138),
+    "amalg --rank 2 --max-order 200 --format tex":
+        ("a02f1d531b1e1555b9c8ab84a542efbd91b4f448cdc8483aeeed385662b0c4a3", 272298),
+    "scalar --rank 8 --max-order 1300":
+        ("e7293303940d3c4a688c904b43de509611174dfb85af58f62f3db3ea75f035c3", 402354),
+    "xdecomp --rank 7 --power 1223 --format json":
+        ("2d030980cda49f01989eba3cc0612145e5cdd9a8cdf4fb938754deb89b897ce5", 382821),
+}
+
+
+class _RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED_STDOUT))
+def test_output_is_written_in_bounded_chunks(monkeypatch, command):
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(command.split()) == 0
+    sizes = [len(text) for text in stdout.writes]
+    assert len(sizes) > 1
+    assert max(sizes) <= fpmom.words._CHUNK
+    data = "".join(stdout.writes).encode("utf-8")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == STREAMED_STDOUT[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["expand --rank 2 --power 10", "amalg --rank 2 --max-order 600"]
+)
+def test_peak_memory_stays_below_half_the_output(tmp_path, command):
+    # the text goes out as it is spelled, so a run never holds all of it
+    target = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([*command.split(), "--output", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < target.stat().st_size / 2
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_output_file_matches_stdout(tmp_path, command):
+    target = tmp_path / "out"
+    assert main([*command.split(), "--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "command", ["expand --rank 2 --power 6", "scalar --max-order 8", "verify --max-order 4"]
+)
+def test_output_to_a_full_device_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--output", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: cannot write /dev/full: No space left on device\n")
 
 
 # Exit code, stdout and stderr of runs that argparse answers, recorded while

@@ -20,7 +20,8 @@ from fpmom.ring import (
     radial_sum,
     subgroup_word,
 )
-from fpmom.words import Word, _level, format_word, reduced_word_count
+import fpmom.words
+from fpmom.words import Word, _level, _terms_json, format_word, reduced_word_count
 
 
 def _combination(*scaled):
@@ -545,9 +546,9 @@ def _reference_json(rank, terms):
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-# supports of 19,531, 7,381, 2,863 and 39,364 terms: the writer joins its text a
-# few thousand prefixes at a time (the top class of G^9 at rank 2 has 8,748
-# prefixes), and rank 5 spells generator 5 both as "g5" and as "e"
+# supports of 19,531, 7,381, 2,863 and 39,364 terms: the writer spells each
+# class one stem at a time, several chunks per class, and rank 5 spells
+# generator 5 both as "g5" and as "e"
 @pytest.mark.parametrize("rank, n", [(3, 6), (5, 4), (27, 2), (2, 9)])
 def test_json_text_of_powers_matches_reference(rank, n):
     x = power(generating_operator(rank), n)
@@ -561,7 +562,7 @@ _CLASS_LENGTHS = {1: 5, 2: 4, 5: 3, 8: 3, 27: 2}
 
 @pytest.mark.parametrize("rank", sorted(_CLASS_LENGTHS))
 def test_json_spells_whole_classes_and_other_runs_alike(rank):
-    # to_json spells a whole class with one coefficient one prefix at a time
+    # to_json spells a whole class with one coefficient one stem at a time
     # and any other run term by term; each class m >= 2 comes whole, whole
     # with one term changed, or with one word missing, beside the identity
     # and the lone letters (at rank 5, "g5")
@@ -580,6 +581,27 @@ def test_json_spells_whole_classes_and_other_runs_alike(rank):
             elif kind == "missing":
                 del terms[odd]
         assert RingElement(rank, terms).to_json() == _reference_json(rank, terms)
+
+
+@pytest.mark.parametrize("chunk", [40, 300, 5000])
+@pytest.mark.parametrize("rank, n", [(1, 7), (2, 7), (5, 4), (27, 2)])
+def test_json_chunks_stay_bounded_at_any_bound(monkeypatch, rank, n, chunk):
+    # a small bound cuts terms, packs several stems in a chunk or takes
+    # short stems; whole classes and runs spelled term by term both join
+    # to the same text
+    for _, classes in iter_power_classes(rank, n):
+        pass
+    terms = dict(power(generating_operator(rank), n).terms)
+    monkeypatch.setattr(fpmom.words, "_CHUNK", chunk)
+    for runs in (
+        [(m, None, coeffs) for m, coeffs in classes.items()],
+        [(m, _level(m, rank), coeffs) for m, coeffs in classes.items()],
+    ):
+        chunks = list(_terms_json(rank, runs))
+        text = "".join(chunks)
+        assert text == _reference_json(rank, terms)
+        assert max(map(len, chunks)) <= chunk
+        assert len(chunks) > 1 or len(text) <= chunk
 
 
 def test_coefficient_refuses_a_non_word():

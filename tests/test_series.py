@@ -12,7 +12,12 @@ from fpmom.series import (
     amalgamated_series,
     emit,
     scalar_series,
+    write_csv,
+    write_json,
+    write_series,
+    write_tex,
 )
+from fpmom.words import _terms_json
 
 
 def test_scalar_series_rank_two():
@@ -277,3 +282,44 @@ def test_amalgamated_rows_checks_at_the_call(rank, max_order):
     # the rows come lazily, but bad arguments raise before the first one
     with pytest.raises((TypeError, ValueError)):
         amalgamated_rows(rank, max_order)
+
+
+def _untouchable():
+    """Rows that fail the test if anything reads them."""
+    yield pytest.fail("rows were read at the call")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda rows: write_series("bogus", 2, "scalar", 3, rows), ValueError),
+        (lambda rows: write_json({"rank": object()}, rows), TypeError),
+        (lambda rows: write_json({"rank": 2}, rows, names=("n",)), TypeError),
+        (lambda rows: amalgamated_rows(1, 4), ValueError),
+        (lambda rows: amalgamated_rows(2, 0), ValueError),
+        (lambda rows: amalgamated_rows(2, True), TypeError),
+    ],
+    ids=["series-format", "json-fields", "json-names", "rows-rank", "rows-order", "rows-bool"],
+)
+def test_argument_checks_raise_at_the_call(call, error):
+    # the writers and row sources stream, but refuse bad arguments before
+    # any text is asked for
+    with pytest.raises(error):
+        call(_untouchable())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rows: write_series("csv", 2, "scalar", 3, rows),
+        lambda rows: write_json({"rank": 2}, rows),
+        lambda rows: write_csv(rows),
+        lambda rows: write_tex(rows),
+        lambda rows: _terms_json(2, rows),
+    ],
+    ids=["series", "json", "csv", "tex", "terms"],
+)
+def test_writers_read_rows_only_when_iterated(call):
+    chunks = call(_untouchable())
+    with pytest.raises(pytest.fail.Exception):
+        list(chunks)

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fpmom.ring import RingElement, multiply, radial_sum, subgroup_word
-from fpmom.words import Word, _length_runs, _level, _level_index, format_word, reduced_word_count
+from fpmom.words import (
+    _CHUNK,
+    Word,
+    _chunks,
+    _length_runs,
+    _level,
+    _level_index,
+    format_word,
+    reduced_word_count,
+)
 
 
 def _times(u, v):
@@ -251,3 +260,25 @@ def test_level_index_inverts_level(rank, max_length):
         level = _level(m, rank)
         assert level == sorted(level)
         assert [_level_index(w, rank) for w in level] == list(range(len(level)))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [0, 1, 2, 0],
+        [5] * 40_000,
+        [100] * 3000 + [30_000] * 5 + [7] * 100,
+        [0, 1, 1 << 15, 1, (1 << 15) + 1, 3 << 15, 2, 1 << 16, 5, 0],
+        [40, 3000, 70_000, 12] * 20,
+    ],
+    ids=["tiny", "many-small", "small-then-large", "around-the-bound", "mixed"],
+)
+def test_chunks_are_bounded_and_join_to_the_pieces(sizes):
+    # none is longer than _CHUNK, and small pieces share chunks
+    pieces = [chr(97 + i % 26) * n for i, n in enumerate(sizes)]
+    chunks = list(_chunks(iter(pieces)))
+    assert "".join(chunks) == "".join(pieces)
+    assert max(map(len, chunks)) <= _CHUNK
+    if max(sizes) < _CHUNK // 2:
+        assert len(chunks) < len(pieces)
+    assert list(_chunks([])) == []
