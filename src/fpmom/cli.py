@@ -13,9 +13,9 @@ streams its data: the writers yield text in bounded chunks
 each chunk as it comes, so a run never holds its whole output; a write
 that fails mid-run (a full disk, a closed pipe) can leave partial
 output behind.  Exit codes: 0 success, 1 verification failure, 2 usage
-error (including an --output that cannot be written; a missing parent
-directory, a directory or an empty path is refused before any
-computation), 3 resource cap hit.
+error (including an --output or a stdout that cannot be written; a
+missing parent directory, a directory or an empty path is refused before
+any computation), 3 resource cap hit.
 Each subcommand's flags are declared once, in the table `_COMMANDS`.  `main`
 reads a canonical argv (a command, then each flag at most once as
 ``--flag value``) straight off that table, so a plain run never imports
@@ -109,11 +109,20 @@ def _check_output(args: argparse.Namespace) -> None:
 
 
 def _write_output(args: argparse.Namespace, chunks: Iterable[str]) -> None:
-    """Write each chunk, as it comes, to --output or to stdout."""
+    """Write each chunk, as it comes, to --output or to stdout; a failed
+    write exits 2 either way."""
     if args.output is None:
-        write = sys.stdout.write
-        for chunk in chunks:
-            write(chunk)
+        out = sys.stdout
+        try:
+            for chunk in chunks:
+                out.write(chunk)
+            out.flush()
+        except OSError as exc:
+            # stdout's buffer still holds text, which the interpreter's
+            # flush at exit would fail on again, with a traceback
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), out.fileno())
+            raise _UsageError(f"cannot write stdout: {exc.strerror}")
         return
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -104,8 +104,24 @@ def _signed_sum(exps: Sequence[int], coeffs: Sequence[str], power: Callable[[int
     """Terms highest exponent first, joined by " + " and " - ", "0" for zero.
 
     power spells h^k, and "" for k = 0; a coefficient of absolute value 1
-    is left out unless k = 0.
+    is left out unless k = 0.  With no negative coefficient ("-" sorts
+    before every digit) the terms are one join; a negative one takes the
+    loop, term by term.
     """
+    if not coeffs:
+        return "0"
+    if min(coeffs)[0] != "-":
+        if "1" in coeffs:
+            coeffs = list(coeffs)
+            i = -1
+            try:
+                while True:
+                    i = coeffs.index("1", i + 1)
+                    if power(exps[i]):
+                        coeffs[i] = ""
+            except ValueError:
+                pass
+        return " + ".join(map(add, reversed(coeffs), map(power, reversed(exps))))
     parts: list[str] = []
     for k, c in zip(reversed(exps), reversed(coeffs)):
         negative = c[0] == "-"
@@ -117,4 +133,4 @@ def _signed_sum(exps: Sequence[int], coeffs: Sequence[str], power: Callable[[int
             parts.append(("- " if negative else "+ ") + term)
         else:
             parts.append("-" + term if negative else term)
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)

@@ -15,15 +15,31 @@ indexed by m // 2.  One multiplication by X_1 is one pass over that list:
     c'_m = c_(m-1) + (2N-1) c_(m+1)   for m >= 1,     c'_0 = 2N c_1.
 
 The chain G^1, G^2, ... that ``iter_decompositions`` walks serves the
-amalgamated series, which reads every class of every power, and the
-powers ``verify`` pairs with group-ring expansions.  The moment over the
-cyclic subgroup generated by the length-2N product of all generators and
-their inverses reads off the classes whose length is a multiple of 2N
-(``amalgamated_projection``).  No word expansion is ever needed.
+powers ``verify`` pairs with group-ring expansions, which need every
+power.  The moment over the cyclic subgroup generated by the length-2N
+product of all generators and their inverses reads off the classes whose
+length is a multiple of 2N (``amalgamated_projection``).  A multiple of
+2N is even, and an odd power has no even class, so E(G^n) vanishes for
+odd n and the amalgamated series needs only the even powers.
+``iter_even_decompositions`` walks G^2, G^4, ... directly, one
+multiplication by X_1^2 per power, from the rule
 
-A path that needs one power or only the constant classes does not walk
-the chain.  Write q = 2N - 1 and c_m(n) for the coefficient of X_m in
-G^n.  ``decomposition_of`` builds G^n in O(n) operations by the row
+    X_1^2 X_0 = X_2 + 2N X_0
+    X_1^2 X_2 = X_4 + 2q X_2 + 2Nq X_0
+    X_1^2 X_m = X_(m+2) + 2q X_m + q^2 X_(m-2)   for m >= 3,
+
+with q = 2N - 1.  On the dense list of an even power that is one pass,
+
+    c''_0 = 2N c_0 + 2Nq c_2,
+    c''_m = c_(m-2) + 2q c_m + q^2 c_(m+2)   for m >= 2,
+
+where a class past the top counts as 0, so the new top class is the old
+top carried over.  Each pass checks the invariants ``step`` checks.
+No word expansion is ever needed.
+
+A path that needs one power or only the constant classes walks neither
+chain.  Write c_m(n) for the coefficient of X_m in G^n.
+``decomposition_of`` builds G^n in O(n) operations by the row
 recurrence, for m = n - 4, n - 6, ... down to n mod 2,
 
     (m+3)(n-m) c_m = 2[(N-1)m^2 + N mn + (5N-4)m + (N+1)n + 2q] c_(m+2)
@@ -85,6 +101,7 @@ from .words import _require_int, reduced_word_count
 __all__ = [
     "RadialDecomposition",
     "iter_decompositions",
+    "iter_even_decompositions",
     "decomposition_of",
     "scalar_moment",
     "amalgamated_projection",
@@ -102,7 +119,8 @@ class RadialDecomposition:
     view of ``classes``; ``coeffs.get(m, 0)`` reads any class m.
 
     Decompositions come only from the engine: ``iter_decompositions``
-    starts from G^1 and walks ``step`` to each next power, and
+    starts from G^1 and walks ``step`` to each next power,
+    ``iter_even_decompositions`` walks the even powers by X_1^2, and
     ``decomposition_of`` runs the row recurrence, so the class has no
     public constructor.  It is not frozen; like ``Word``'s int,
     ``classes`` is the decomposition's own storage and must not be
@@ -114,8 +132,8 @@ class RadialDecomposition:
 
     @classmethod
     def _of(cls, rank: int, power: int, classes: list[int]):
-        # The one constructor: step, iter_decompositions and
-        # decomposition_of go through it.
+        # The one constructor: step, iter_decompositions,
+        # iter_even_decompositions and decomposition_of go through it.
         d = object.__new__(cls)
         d.rank, d.power, d.classes = rank, power, classes
         return d
@@ -167,6 +185,27 @@ def iter_decompositions(rank: int, max_power: int) -> Iterator[RadialDecompositi
     for _ in range(max_power - 1):
         d = d.step()
         yield d
+
+
+def iter_even_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomposition]:
+    """Yield the decompositions of G^2, G^4, ..., G^(2 floor(max_power/2)),
+    each from the one before by one multiplication by X_1^2 (module
+    docstring); none for max_power 1."""
+    _require_int("rank", rank, 1)
+    _require_int("max_power", max_power, 1)
+    two_n, q = 2 * rank, 2 * rank - 1
+    two_q, qq, lead = 2 * q, q * q, two_n * q
+    c = [two_n, 1]  # G^2 = X_2 + 2N X_0
+    for n in range(2, max_power + 1, 2):
+        if n > 2:
+            nxt = [two_n * c[0] + lead * c[1]]
+            nxt += [lo + two_q * mid + qq * hi for lo, mid, hi in zip(c, c[1:], c[2:])]
+            nxt.append(c[-2] + two_q * c[-1])
+            nxt.append(c[-1])
+            if nxt[-1] != 1 or min(nxt) <= 0:
+                raise ValueError(f"X_1^2 step to power {n} broke the invariants")
+            c = nxt
+        yield RadialDecomposition._of(rank, n, c)
 
 
 def _radial_row(n: int, rank: int) -> list[int]:
@@ -234,17 +273,11 @@ def amalgamated_projection(dec: RadialDecomposition) -> LaurentPolynomial:
     """
     _require_int("rank", dec.rank, 2)
     coeffs: dict[int, int] = {}
-    for k, c in enumerate(_subgroup_classes(dec)):
-        coeffs[k] = c
-        coeffs[-k] = c
+    if dec.power % 2 == 0:
+        for k, c in enumerate(dec.classes[:: dec.rank]):
+            coeffs[k] = c
+            coeffs[-k] = c
     return LaurentPolynomial(coeffs)
-
-
-def _subgroup_classes(dec: RadialDecomposition) -> list[int]:
-    """The coefficients of h^0, h^1, h^2, ... in the projection of G^n,
-    which h^-k shares with h^k: the classes of length 2N k, at index N k
-    of ``dec.classes``.  Empty for odd powers."""
-    return [] if dec.power % 2 else dec.classes[:: dec.rank]
 
 
 def amalgamated_moment(n: int, rank: int) -> LaurentPolynomial:

@@ -14,11 +14,13 @@ only as the chunks are asked for.  A decimal cell is copied into its
 row's piece; a polynomial's text, which can be long, is a piece of its
 own, so it is never copied before its chunk is joined.  ``emit`` feeds
 them a ``MomentSeries`` and returns the join of the chunks as UTF-8
-bytes.  ``amalgamated_rows`` feeds them E(G^n) straight from the chain's
-classes, spelling each coefficient once for both h^k and h^-k, with no
-``LaurentPolynomial`` or ``MomentSeries`` on the way; ``fpmom amalg``
-writes through it, and ``fpmom xdecomp`` feeds its rows to
-``write_json`` and ``write_csv``.
+bytes.  ``amalgamated_rows`` feeds them E(G^n) straight from the
+classes of the even powers, which ``iter_even_decompositions`` walks
+by X_1^2 (an odd row is the zero cell), spelling each coefficient once
+for both h^k and h^-k, with no ``LaurentPolynomial`` or
+``MomentSeries`` on the way; ``fpmom amalg`` writes through it, and
+``fpmom xdecomp`` feeds its rows to ``write_json`` and ``write_csv``.
+``amalgamated_series`` builds its values from the chain of every power.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from typing import Iterable, Iterator, Sequence, Union
 from ._version import TOOL_VERSION
 from .laurent import _CSV_PREFIX, LaurentPolynomial, _csv_terms, _signed_sum, _tex_power
 from .recurrence import (
-    RadialDecomposition,
     _scalar_moments,
-    _subgroup_classes,
     amalgamated_projection,
     iter_decompositions,
+    iter_even_decompositions,
 )
 from .words import _chunks, _require_int
 
@@ -136,22 +137,30 @@ def amalgamated_series(rank: int, max_order: int) -> MomentSeries:
 
 
 def amalgamated_rows(rank: int, max_order: int) -> Iterator[Row]:
-    """The rows of ``amalgamated_series(rank, max_order)``, straight from the chain.
+    """The rows of ``amalgamated_series(rank, max_order)``, straight from
+    the even powers' classes.
 
     Row n carries E(G^n) = sum over k of c_(2N|k|) h^k, the classes of
     G^n whose length is a multiple of 2N (``amalgamated_projection``).
-    Each |k| is spelled once and serves h^k and h^-k.  The arguments are
+    An odd power has no even class, so an odd row is the zero cell and
+    only G^2, G^4, ... are computed (``iter_even_decompositions``).  Each
+    |k| is spelled once and serves h^k and h^-k.  The arguments are
     checked at the call; the rows come as they are read.
     """
     _require_int("rank", rank, 2)
     _require_int("max_order", max_order, 1)
-    return map(_amalgamated_row, iter_decompositions(rank, max_order))
+    return _amalgamated_rows(rank, max_order)
 
 
-def _amalgamated_row(d: RadialDecomposition) -> Row:
-    spelled = [str(c) for c in _subgroup_classes(d)]
-    top = len(spelled) - 1
-    return d.power, (range(-top, top + 1), spelled[:0:-1] + spelled)
+def _amalgamated_rows(rank: int, max_order: int) -> Iterator[Row]:
+    zero = ((), ())
+    for d in iter_even_decompositions(rank, max_order):
+        spelled = list(map(str, d.classes[::rank]))
+        top = len(spelled) - 1
+        yield d.power - 1, zero
+        yield d.power, (range(-top, top + 1), spelled[:0:-1] + spelled)
+    if max_order % 2:
+        yield max_order, zero
 
 
 def write_json(

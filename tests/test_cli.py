@@ -14,6 +14,7 @@ import pytest
 import fpmom
 import fpmom.cli
 import fpmom.oracle
+import fpmom.recurrence
 import fpmom.series
 import fpmom.words
 from fpmom.cli import _COMMANDS, _read_canonical, build_parser, main
@@ -349,13 +350,29 @@ def test_byte_identical_reruns(capsys):
 @pytest.mark.parametrize("fmt", fpmom.series.FORMATS)
 @pytest.mark.parametrize("rank", range(2, 8))
 def test_amalg_writes_what_emit_writes(capsys, rank, fmt):
-    # amalg writes straight from the chain; emit writes a built series
+    # amalg writes from the even powers; emit writes a series built on the chain
     for max_order in range(1, 61):
         code, out, _ = run(capsys, "amalg", "--rank", str(rank), "--max-order",
                            str(max_order), "--format", fmt)
         assert code == 0
         expected = fpmom.emit(fpmom.amalgamated_series(rank, max_order), fmt)
         assert out.encode("utf-8") == expected, max_order
+
+
+def test_amalg_walks_only_the_even_powers(capsys, monkeypatch):
+    series = fpmom.amalgamated_series(3, 41)
+    expected = {fmt: fpmom.emit(series, fmt) for fmt in fpmom.series.FORMATS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("amalg walked the chain of every power")
+
+    monkeypatch.setattr(fpmom.recurrence.RadialDecomposition, "step", refuse)
+    for module in (fpmom.recurrence, fpmom.series):
+        monkeypatch.setattr(module, "iter_decompositions", refuse)
+    for fmt, data in expected.items():
+        code, out, _ = run(capsys, "amalg", "--rank", "3", "--max-order", "41", "--format", fmt)
+        assert code == 0
+        assert out.encode("utf-8") == data, fmt
 
 
 @pytest.mark.parametrize("rank, max_power", [(1, 9), (2, 7), (3, 5), (5, 3), (27, 2)])
@@ -431,18 +448,19 @@ def test_xdecomp_past_the_digit_limit(capsys, digit_limit):
     assert mass == 60**3700
 
 
-def _fpmom_process(*argv, timeout=None):
-    """Run ``python -m fpmom`` on the copy of fpmom these tests import."""
+def _fpmom_argv_env(*argv):
+    """The argv and environment of ``python -m fpmom`` on the copy of fpmom
+    these tests import."""
     src = str(Path(fpmom.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "fpmom", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+    return [sys.executable, "-m", "fpmom", *argv], env
+
+
+def _fpmom_process(*argv, timeout=None):
+    """Run ``python -m fpmom``, capturing its output."""
+    command, env = _fpmom_argv_env(*argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_module_entry_point():
@@ -602,6 +620,9 @@ class _RecordingStdout:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("command", sorted(STREAMED_STDOUT))
 def test_output_is_written_in_bounded_chunks(monkeypatch, command):
@@ -646,6 +667,46 @@ def test_output_to_a_full_device_is_a_usage_error(capsys, command):
     assert code == 2
     assert out == ""
     assert err.endswith("error: cannot write /dev/full: No space left on device\n")
+
+
+def _stdout_env(env, buffered):
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_a_usage_error(buffered):
+    # the reader stops after 100 bytes of a 585 KB output, more than a pipe holds
+    command, env = _fpmom_argv_env("expand", "--rank", "3", "--power", "6")
+    env = _stdout_env(env, buffered)
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    # one line, and nothing more when the interpreter flushes stdout at exit
+    assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_to_a_full_device_is_a_usage_error(buffered):
+    # buffered, the whole output still sits in stdout's buffer when main returns
+    command, env = _fpmom_argv_env("scalar", "--max-order", "20")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            command, stdout=full, stderr=subprocess.PIPE, text=True,
+            env=_stdout_env(env, buffered), timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 # Exit code, stdout and stderr of runs that argparse answers, recorded while

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fpmom.laurent import LaurentPolynomial
+from fpmom.laurent import LaurentPolynomial, _signed_sum, _tex_power, _text_power
 
 
 def test_zero_coefficients_dropped():
@@ -79,3 +80,53 @@ def test_csv_cell_round_trip():
     assert LaurentPolynomial().to_csv_cell() == ""
     # negative exponents keep their sign distinct from the pair separator
     assert LaurentPolynomial({-3: -7}).to_csv_cell() == "-3:-7"
+
+
+def _signed_sum_by_terms(exps, coeffs, power):
+    """``_signed_sum`` as one loop over the terms, which it once was."""
+    parts = []
+    for k, c in zip(reversed(exps), reversed(coeffs)):
+        negative = c[0] == "-"
+        if negative:
+            c = c[1:]
+        base = power(k)
+        term = (base if c == "1" else c + base) if base else c
+        if parts:
+            parts.append(("- " if negative else "+ ") + term)
+        else:
+            parts.append("-" + term if negative else term)
+    return " ".join(parts) if parts else "0"
+
+
+COEFFICIENTS = st.one_of(
+    st.sampled_from(["1", "-1"]),
+    st.integers(-1000, 1000).filter(bool).map(str),
+    st.integers(10**40, 10**90).map(str),
+    st.integers(-(10**90), -(10**40)).map(str),
+)
+
+
+@given(
+    st.dictionaries(st.integers(-40, 40), COEFFICIENTS, max_size=30),
+    st.booleans(),
+    st.sampled_from([_tex_power, _text_power]),
+)
+@settings(max_examples=300, deadline=None)
+def test_signed_sum_matches_the_term_loop(terms, positive, power):
+    # with no negative coefficient the terms are one join, else the loop runs
+    if positive:
+        terms = {k: c.lstrip("-") for k, c in terms.items()}
+    exps = sorted(terms)
+    coeffs = [terms[k] for k in exps]
+    kept = list(coeffs)
+    assert _signed_sum(exps, coeffs, power) == _signed_sum_by_terms(exps, coeffs, power)
+    assert coeffs == kept
+
+
+def test_signed_sum_leaves_out_a_unit_coefficient_before_a_power():
+    assert _signed_sum([-1, 0, 1], ["1", "1", "1"], _tex_power) == "h + 1 + h^{-1}"
+    assert _signed_sum(range(-2, 3), ["1", "7", "1", "7", "1"], _text_power) == (
+        "h^2 + 7h + 1 + 7h^-1 + h^-2"
+    )
+    assert _signed_sum([0, 3], ["-1", "1"], _text_power) == "h^3 - 1"
+    assert _signed_sum([], [], _text_power) == "0"

@@ -11,6 +11,7 @@ from fpmom.recurrence import (
     amalgamated_moment,
     decomposition_of,
     iter_decompositions,
+    iter_even_decompositions,
     scalar_moment,
 )
 
@@ -102,6 +103,46 @@ def test_new_engines_check_exact_division_and_positivity(monkeypatch):
         decomposition_of(6, 2)
     with pytest.raises(ValueError, match="P-recurrence"):
         scalar_moment(6, 2)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_even_powers_match_the_chain(rank):
+    # one X_1^2 pass per power gives the chain's even powers, every class
+    max_power = 200 if rank == 2 else 120
+    chain = list(iter_decompositions(rank, max_power))[1::2]
+    even = list(iter_even_decompositions(rank, max_power))
+    assert [d.power for d in even] == list(range(2, max_power + 1, 2))
+    for d, whole in zip(even, chain, strict=True):
+        assert (d.rank, d.power, d.classes) == (rank, whole.power, whole.classes)
+    assert [d.power for d in iter_even_decompositions(rank, max_power + 1)][-1] == max_power
+
+
+def test_even_powers_start_at_two():
+    assert list(iter_even_decompositions(2, 1)) == []
+    assert [d.classes for d in iter_even_decompositions(2, 5)] == [[4, 1], [28, 10, 1]]
+    for bad, error in ((0, ValueError), (True, TypeError)):
+        with pytest.raises(error, match="max_power"):
+            list(iter_even_decompositions(2, bad))
+    with pytest.raises(ValueError, match="rank"):
+        list(iter_even_decompositions(0, 4))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda classes: classes.__setitem__(-1, 2),  # the top class must stay 1
+        lambda classes: classes.__setitem__(0, -10 * classes[0]),  # feeds the constant class
+        lambda classes: classes.__setitem__(1, -10 * classes[1]),  # feeds every class near it
+    ],
+    ids=["top", "constant", "inner"],
+)
+def test_even_powers_check_invariants(corrupt):
+    powers = iter_even_decompositions(2, 20)
+    for _ in range(3):
+        d = next(powers)  # G^6
+    corrupt(d.classes)
+    with pytest.raises(ValueError, match="power 8 broke the invariants"):
+        next(powers)
 
 
 def test_step_checks_invariants():
