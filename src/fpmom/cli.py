@@ -31,12 +31,13 @@ tree oracle alone and expands nothing, so it refuses --ring-max-order and
 
 from __future__ import annotations
 
+import atexit
 import errno
 import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .recurrence import decomposition_of
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes
@@ -118,10 +119,7 @@ def _write_output(args: argparse.Namespace, chunks: Iterable[str]) -> None:
                 out.write(chunk)
             out.flush()
         except OSError as exc:
-            # stdout's buffer still holds text, which the interpreter's
-            # flush at exit would fail on again, with a traceback
-            with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), out.fileno())
+            _discard_at_exit(out)
             raise _UsageError(f"cannot write stdout: {exc.strerror}")
         return
     try:
@@ -130,6 +128,27 @@ def _write_output(args: argparse.Namespace, chunks: Iterable[str]) -> None:
                 fh.write(chunk)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.output}: {exc.strerror}")
+
+
+def _discard_at_exit(stream: TextIO) -> None:
+    """Point stream's descriptor at os.devnull when the interpreter exits.
+
+    A failed write leaves text in stream's buffer, which the interpreter's
+    flush at exit would fail on again, with a traceback.  Exit handlers
+    run before that flush; until then an in-process caller of `main` keeps
+    its stdout.  A stream with no descriptor is left alone.
+    """
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):
+        return
+    atexit.register(_point_at_devnull, fd)
+
+
+def _point_at_devnull(fd: int) -> None:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:

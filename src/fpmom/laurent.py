@@ -104,33 +104,20 @@ def _signed_sum(exps: Sequence[int], coeffs: Sequence[str], power: Callable[[int
     """Terms highest exponent first, joined by " + " and " - ", "0" for zero.
 
     power spells h^k, and "" for k = 0; a coefficient of absolute value 1
-    is left out unless k = 0.  With no negative coefficient ("-" sorts
-    before every digit) the terms are one join; a negative one takes the
-    loop, term by term.
+    is left out unless k = 0.  The terms are one join by " + ", on a copy
+    of the coefficients with those units fixed.  No term holds a space,
+    so " + -" marks exactly a negative term; "-" sorts before every digit,
+    so min(coeffs) tells whether there is one.
     """
     if not coeffs:
         return "0"
-    if min(coeffs)[0] != "-":
-        if "1" in coeffs:
-            coeffs = list(coeffs)
-            i = -1
-            try:
-                while True:
-                    i = coeffs.index("1", i + 1)
-                    if power(exps[i]):
-                        coeffs[i] = ""
-            except ValueError:
-                pass
-        return " + ".join(map(add, reversed(coeffs), map(power, reversed(exps))))
-    parts: list[str] = []
-    for k, c in zip(reversed(exps), reversed(coeffs)):
-        negative = c[0] == "-"
-        if negative:
-            c = c[1:]
-        base = power(k)
-        term = (base if c == "1" else c + base) if base else c
-        if parts:
-            parts.append(("- " if negative else "+ ") + term)
-        else:
-            parts.append("-" + term if negative else term)
-    return " ".join(parts)
+    negative = min(coeffs)[0] == "-"
+    coeffs = list(coeffs)
+    for unit in ("1", "-1") if negative else ("1",):
+        i = -1
+        for _ in range(coeffs.count(unit)):
+            i = coeffs.index(unit, i + 1)
+            if power(exps[i]):
+                coeffs[i] = unit[:-1]
+    text = " + ".join(map(add, reversed(coeffs), map(power, reversed(exps))))
+    return text.replace(" + -", " - ") if negative else text

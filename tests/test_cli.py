@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -707,6 +708,33 @@ def test_stdout_to_a_full_device_is_a_usage_error(buffered):
         )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose writes fail as a full device's do; fd None gives it
+    no descriptor, as a StringIO has none."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+
+@pytest.mark.parametrize("fd", [None, 1], ids=["no-descriptor", "descriptor"])
+def test_failed_stdout_write_leaves_an_in_process_caller_its_stdout(monkeypatch, fd):
+    # the descriptor is pointed at os.devnull only when the interpreter exits
+    registered = []
+    monkeypatch.setattr(fpmom.cli.atexit, "register", lambda *a: registered.append(a))
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(fd))
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert main(["scalar", "--max-order", "20"]) == 2
+    assert sys.stderr.getvalue() == "error: cannot write stdout: No space left on device\n"
+    assert registered == ([] if fd is None else [(fpmom.cli._point_at_devnull, fd)])
 
 
 # Exit code, stdout and stderr of runs that argparse answers, recorded while

@@ -54,6 +54,7 @@ def test_str_rendering():
     p = LaurentPolynomial({2: 1, 1: 202, 0: 2092, -1: 202, -2: 1})
     assert str(p) == "h^2 + 202h + 2092 + 202h^-1 + h^-2"
     assert str(LaurentPolynomial({1: -3, 0: 2})) == "-3h + 2"
+    assert str(LaurentPolynomial({3: 1, 0: -1})) == "h^3 - 1"
 
 
 def test_tex_rendering():
@@ -113,7 +114,7 @@ COEFFICIENTS = st.one_of(
 )
 @settings(max_examples=300, deadline=None)
 def test_signed_sum_matches_the_term_loop(terms, positive, power):
-    # with no negative coefficient the terms are one join, else the loop runs
+    # all-positive cells, as amalg writes, are rare among random dictionaries
     if positive:
         terms = {k: c.lstrip("-") for k, c in terms.items()}
     exps = sorted(terms)
@@ -122,11 +123,3 @@ def test_signed_sum_matches_the_term_loop(terms, positive, power):
     assert _signed_sum(exps, coeffs, power) == _signed_sum_by_terms(exps, coeffs, power)
     assert coeffs == kept
 
-
-def test_signed_sum_leaves_out_a_unit_coefficient_before_a_power():
-    assert _signed_sum([-1, 0, 1], ["1", "1", "1"], _tex_power) == "h + 1 + h^{-1}"
-    assert _signed_sum(range(-2, 3), ["1", "7", "1", "7", "1"], _text_power) == (
-        "h^2 + 7h + 1 + 7h^-1 + h^-2"
-    )
-    assert _signed_sum([0, 3], ["-1", "1"], _text_power) == "h^3 - 1"
-    assert _signed_sum([], [], _text_power) == "0"
