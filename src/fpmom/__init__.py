@@ -34,7 +34,6 @@ from .recurrence import (
     amalgamated_moment,
     amalgamated_projection,
     decomposition_of,
-    iter_decompositions,
     scalar_moment,
 )
 from .oracle import (
@@ -45,12 +44,7 @@ from .oracle import (
     self_test,
     verify,
 )
-from .series import (
-    MomentSeries,
-    amalgamated_series,
-    emit,
-    scalar_series,
-)
+from .series import scalar_series
 
 __all__ = [
     "__version__",
@@ -69,7 +63,6 @@ __all__ = [
     "subgroup_word",
     "conditional_expectation",
     "RadialDecomposition",
-    "iter_decompositions",
     "decomposition_of",
     "scalar_moment",
     "amalgamated_moment",
@@ -80,8 +73,5 @@ __all__ = [
     "brute_force_budget",
     "verify",
     "self_test",
-    "MomentSeries",
     "scalar_series",
-    "amalgamated_series",
-    "emit",
 ]

@@ -152,8 +152,7 @@ def _point_at_devnull(fd: int) -> None:
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:
-    series = scalar_series(args.rank, args.max_order)
-    rows = enumerate(map(str, series.values), 1)
+    rows = enumerate(map(str, scalar_series(args.rank, args.max_order)), 1)
     _write_output(args, write_series(args.format, args.rank, "scalar", args.max_order, rows))
     return EXIT_OK
 

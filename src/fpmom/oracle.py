@@ -26,14 +26,16 @@ numbers, so the check is not one recurrence written two ways.
 
 ``verify`` checks the scalar moments of the P-recurrence against the
 tree oracle to the requested order, and against the group ring up to
-the ring limit, which may be 0.  There it walks one chain of radial
-decompositions and expands each power of G once, as one coefficient
-list per word length in sorted word order (``iter_power_classes``), and
-checks its trace (the length-0 entry), its conditional expectation (the
-entry of each h^k, found by its index in its class) and its radiality
-(each class one coefficient, a 0 being a missing word) from that single
-expansion; the radiality check also compares each of those powers with
-the row recurrence.  It returns one :class:`DiffReport` per check;
+the ring limit, which may be 0.  There it expands each power of G once,
+as one coefficient list per word length in sorted word order
+(``iter_power_classes``), and checks its trace (the length-0 entry)
+against the P-recurrence, and its conditional expectation (the entry of
+each h^k, found by its index in its class) and its radiality (each class
+one coefficient, a 0 being a missing word) against the decomposition
+the commands ship for that power: the even walk's (``fpmom amalg``) at
+an even power, the row recurrence's (``fpmom xdecomp``) at an odd one.
+At an even power the radiality check also compares the two engines.
+It returns one :class:`DiffReport` per check;
 ``self_test`` injects a deliberate fault to prove that disagreements are
 actually detected.
 """
@@ -48,7 +50,7 @@ from .recurrence import (
     _scalar_moments,
     amalgamated_projection,
     decomposition_of,
-    iter_decompositions,
+    iter_even_decompositions,
 )
 from .ring import iter_power_classes, subgroup_word
 from .words import (
@@ -181,12 +183,13 @@ def verify(
     The scalar moments tr(G^n) come from the P-recurrence of
     ``fpmom.recurrence``.  The tree oracle checks them to max_order.  Up
     to the ring limit (ring_max_order, or by default
-    ``brute_force_budget(rank)``, capped at max_order) one chain of
-    decompositions G^1, G^2, ... is walked, and each decomposition is
-    paired with one group-ring expansion of the same power, held as its
-    class lists, whose trace, conditional expectation and per-length
-    coefficients are all checked against it; its classes are also checked
-    against the row recurrence.
+    ``brute_force_budget(rank)``, capped at max_order) each power G^n is
+    expanded once in the group ring, held as its class lists; its trace
+    is checked against the P-recurrence, and its conditional expectation
+    and per-length coefficients against a decomposition of G^n: the even
+    walk's (``iter_even_decompositions``) for even n, the row
+    recurrence's (``decomposition_of``) for odd n.  At even n the even
+    walk's classes are also checked against the row recurrence.
     ring_max_order=0 runs the tree oracle alone; a negative one raises
     ``ValueError``.
 
@@ -214,8 +217,10 @@ def verify(
         h = format_word(subgroup_word(rank))
         amalgamated = DiffReport(f"amalgamated moments (rank {rank}, subgroup <{h}>, {orders})")
     radiality = DiffReport(f"radiality of powers (rank {rank}, {orders})")
-    powers = iter_power_classes(rank, ring_limit, support_cap)
-    for dec, (n, classes) in zip(iter_decompositions(rank, ring_limit), powers):
+    evens = iter_even_decompositions(rank, ring_limit)
+    for n, classes in iter_power_classes(rank, ring_limit, support_cap):
+        row = decomposition_of(n, rank)
+        dec = row if n % 2 else next(evens)
         trace = classes[0][0] if 0 in classes else 0
         if trace != constants[n - 1]:
             scalar.record(f"order {n}: group-ring trace", trace, constants[n - 1])
@@ -225,8 +230,8 @@ def verify(
             if expected != actual:
                 amalgamated.record(f"order {n}: conditional expectation", expected, actual)
         _check_radial(radiality, n, rank, classes, dec)
-        row = decomposition_of(n, rank).coeffs
-        _record_classes(radiality, n, "row recurrence", dec.coeffs, row)
+        if not n % 2:
+            _record_classes(radiality, n, "row recurrence", dec.coeffs, row.coeffs)
     return [r for r in (scalar, amalgamated, radiality) if r is not None]
 
 

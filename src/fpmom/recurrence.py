@@ -14,13 +14,13 @@ indexed by m // 2.  One multiplication by X_1 is one pass over that list:
 
     c'_m = c_(m-1) + (2N-1) c_(m+1)   for m >= 1,     c'_0 = 2N c_1.
 
-The chain G^1, G^2, ... that ``iter_decompositions`` walks serves the
-powers ``verify`` pairs with group-ring expansions, which need every
-power.  The moment over the cyclic subgroup generated by the length-2N
-product of all generators and their inverses reads off the classes whose
-length is a multiple of 2N (``amalgamated_projection``).  A multiple of
-2N is even, and an odd power has no even class, so E(G^n) vanishes for
-odd n and the amalgamated series needs only the even powers.
+``step`` is that pass; no command walks it, and it stays as the
+one-power reference for the even walk below.  The moment over the
+cyclic subgroup generated by the length-2N product of all generators
+and their inverses reads off the classes whose length is a multiple of
+2N (``amalgamated_projection``).  A multiple of 2N is even, and an odd
+power has no even class, so E(G^n) vanishes for odd n and the
+amalgamated series needs only the even powers.
 ``iter_even_decompositions`` walks G^2, G^4, ... directly, one
 multiplication by X_1^2 per power, from the rule
 
@@ -37,7 +37,7 @@ where a class past the top counts as 0, so the new top class is the old
 top carried over.  Each pass checks the invariants ``step`` checks.
 No word expansion is ever needed.
 
-A path that needs one power or only the constant classes walks neither
+A path that needs one power or only the constant classes walks no
 chain.  Write c_m(n) for the coefficient of X_m in G^n.
 ``decomposition_of`` builds G^n in O(n) operations by the row
 recurrence, for m = n - 4, n - 6, ... down to n mod 2,
@@ -100,7 +100,6 @@ from .words import _require_int, reduced_word_count
 
 __all__ = [
     "RadialDecomposition",
-    "iter_decompositions",
     "iter_even_decompositions",
     "decomposition_of",
     "scalar_moment",
@@ -118,10 +117,9 @@ class RadialDecomposition:
     carries coefficient 1.  ``coeffs`` is a read-only class -> coefficient
     view of ``classes``; ``coeffs.get(m, 0)`` reads any class m.
 
-    Decompositions come only from the engine: ``iter_decompositions``
-    starts from G^1 and walks ``step`` to each next power,
-    ``iter_even_decompositions`` walks the even powers by X_1^2, and
-    ``decomposition_of`` runs the row recurrence, so the class has no
+    Decompositions come only from the engines: ``iter_even_decompositions``
+    walks the even powers by X_1^2, ``decomposition_of`` runs the row
+    recurrence, and ``step`` multiplies one by X_1, so the class has no
     public constructor.  It is not frozen; like ``Word``'s int,
     ``classes`` is the decomposition's own storage and must not be
     mutated.  Two decompositions are equal when their rank, power and
@@ -132,8 +130,8 @@ class RadialDecomposition:
 
     @classmethod
     def _of(cls, rank: int, power: int, classes: list[int]):
-        # The one constructor: step, iter_decompositions,
-        # iter_even_decompositions and decomposition_of go through it.
+        # The one constructor: step, iter_even_decompositions and
+        # decomposition_of go through it.
         d = object.__new__(cls)
         d.rank, d.power, d.classes = rank, power, classes
         return d
@@ -174,17 +172,6 @@ class RadialDecomposition:
         if nxt[-1] != 1 or min(nxt) <= 0:
             raise ValueError(f"radial step to power {n} broke the invariants")
         return RadialDecomposition._of(self.rank, n, nxt)
-
-
-def iter_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomposition]:
-    """Yield the decompositions of G^1 .. G^max_power in order."""
-    _require_int("rank", rank, 1)
-    _require_int("max_power", max_power, 1)
-    d = RadialDecomposition._of(rank, 1, [1])
-    yield d
-    for _ in range(max_power - 1):
-        d = d.step()
-        yield d
 
 
 def iter_even_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomposition]:

@@ -1,4 +1,4 @@
-"""Moment series, and one writer per output format (json, csv, tex).
+"""Moment rows, and one writer per output format (json, csv, tex).
 
 All coefficients are exact; big integers are written as decimal strings
 so JSON consumers never round.  Output is deterministic byte for byte.
@@ -12,15 +12,14 @@ arguments at the call and returns a generator of text chunks, each at
 most ``fpmom.words._CHUNK`` characters, which reads and spells the rows
 only as the chunks are asked for.  A decimal cell is copied into its
 row's piece; a polynomial's text, which can be long, is a piece of its
-own, so it is never copied before its chunk is joined.  ``emit`` feeds
-them a ``MomentSeries`` and returns the join of the chunks as UTF-8
-bytes.  ``amalgamated_rows`` feeds them E(G^n) straight from the
-classes of the even powers, which ``iter_even_decompositions`` walks
-by X_1^2 (an odd row is the zero cell), spelling each coefficient once
-for both h^k and h^-k, with no ``LaurentPolynomial`` or
-``MomentSeries`` on the way; ``fpmom amalg`` writes through it, and
-``fpmom xdecomp`` feeds its rows to ``write_json`` and ``write_csv``.
-``amalgamated_series`` builds its values from the chain of every power.
+own, so it is never copied before its chunk is joined.
+``scalar_series`` gives the values ``fpmom scalar`` writes.
+``amalgamated_rows`` feeds the writers E(G^n) straight from the classes
+of the even powers, which ``iter_even_decompositions`` walks by X_1^2
+(an odd row is the zero cell), spelling each coefficient once for both
+h^k and h^-k, with no ``LaurentPolynomial`` on the way; ``fpmom amalg``
+writes through it, and ``fpmom xdecomp`` feeds its rows to
+``write_json`` and ``write_csv``.
 """
 
 from __future__ import annotations
@@ -31,25 +30,17 @@ from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 from ._version import TOOL_VERSION
-from .laurent import _CSV_PREFIX, LaurentPolynomial, _csv_terms, _signed_sum, _tex_power
-from .recurrence import (
-    _scalar_moments,
-    amalgamated_projection,
-    iter_decompositions,
-    iter_even_decompositions,
-)
+from .laurent import _CSV_PREFIX, _csv_terms, _signed_sum, _tex_power
+from .recurrence import _scalar_moments, iter_even_decompositions
 from .words import _chunks, _require_int
 
 __all__ = [
-    "MomentSeries",
     "scalar_series",
-    "amalgamated_series",
     "amalgamated_rows",
     "write_json",
     "write_csv",
     "write_tex",
     "write_series",
-    "emit",
     "FORMATS",
 ]
 
@@ -60,85 +51,17 @@ _JSON_PREFIX = '{{"exp":{},"coeff":"'.format
 Row = tuple[int, Union[str, tuple[Sequence[int], Sequence[str]]]]
 
 
-class MomentSeries:
-    """Moments of G^n for n = 1..max_order; ``values[n - 1]`` is order n.
-
-    ``kind`` is "scalar" (integer values) or "amalgamated" (Laurent
-    polynomial values).  There is at least one value, and odd orders are
-    zero.  The fields are read-only; two series are equal when their
-    rank, kind and values are.
-    """
-
-    __slots__ = ("rank", "kind", "values")
-    __match_args__ = ("rank", "kind", "values")
-
-    def __init__(self, rank: int, kind: str, values: tuple[int | LaurentPolynomial, ...]):
-        if kind not in ("scalar", "amalgamated"):
-            raise ValueError(f"kind must be 'scalar' or 'amalgamated', got {kind!r}")
-        _require_int("rank", rank, 2 if kind == "amalgamated" else 1)
-        if not values:
-            raise ValueError("a moment series needs at least order 1")
-        for n, value in enumerate(values, 1):
-            if kind == "scalar":
-                if type(value) is not int:
-                    raise TypeError(f"scalar value at order {n} must be an int")
-            elif not isinstance(value, LaurentPolynomial):
-                raise TypeError(f"amalgamated value at order {n} must be a LaurentPolynomial")
-            if n % 2 and value:
-                raise ValueError(f"odd-order moment at {n} must vanish")
-        for name, field in (("rank", rank), ("kind", kind), ("values", values)):
-            object.__setattr__(self, name, field)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a MomentSeries")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a MomentSeries")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the series through __init__, since
-        # __setattr__ refuses the slot-by-slot restore
-        return (self.__class__, (self.rank, self.kind, self.values))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.kind, self.values) == (other.rank, other.kind, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.kind, self.values))
-
-    def __repr__(self) -> str:
-        return f"MomentSeries(rank={self.rank!r}, kind={self.kind!r}, values={self.values!r})"
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values)
-
-    def value(self, order: int) -> int | LaurentPolynomial:
-        _require_int("order", order, 1)
-        if order > self.max_order:
-            raise ValueError(f"order {order} outside 1..{self.max_order}")
-        return self.values[order - 1]
-
-
-def scalar_series(rank: int, max_order: int) -> MomentSeries:
-    """tr(G^n) for n = 1..max_order, from the P-recurrence of ``fpmom.recurrence``."""
+def scalar_series(rank: int, max_order: int) -> tuple[int, ...]:
+    """tr(G^n) for n = 1..max_order, from the P-recurrence of
+    ``fpmom.recurrence``; entry n - 1 is order n."""
     _require_int("rank", rank, 1)
     _require_int("max_order", max_order, 1)
-    return MomentSeries(rank, "scalar", tuple(_scalar_moments(rank, max_order)))
-
-
-def amalgamated_series(rank: int, max_order: int) -> MomentSeries:
-    _require_int("rank", rank, 2)
-    _require_int("max_order", max_order, 1)
-    values = tuple(amalgamated_projection(d) for d in iter_decompositions(rank, max_order))
-    return MomentSeries(rank, "amalgamated", values)
+    return tuple(_scalar_moments(rank, max_order))
 
 
 def amalgamated_rows(rank: int, max_order: int) -> Iterator[Row]:
-    """The rows of ``amalgamated_series(rank, max_order)``, straight from
-    the even powers' classes.
+    """The rows of E(G^n) for n = 1..max_order, straight from the even
+    powers' classes.
 
     Row n carries E(G^n) = sum over k of c_(2N|k|) h^k, the classes of
     G^n whose length is a multiple of 2N (``amalgamated_projection``).
@@ -174,8 +97,8 @@ def write_json(
     is a JSON string, a polynomial a list of ``{"exp":k,"coeff":"c"}``.
     ``fields`` is spelled at the call, so a field JSON cannot hold raises
     there."""
-    head = json.dumps(fields, separators=(",", ":"))[:-1] + f',"{entries}":['
-    return _chunks(_json_pieces(head, rows, *names))
+    head = json.dumps(fields, separators=(",", ":"))[:-1] + ("," if fields else "")
+    return _chunks(_json_pieces(f'{head}"{entries}":[', rows, *names))
 
 
 def _json_pieces(opening: str, rows: Iterable[Row], label: str, value: str) -> Iterator[str]:
@@ -238,8 +161,7 @@ def write_series(
     fmt: str, rank: int, kind: str, max_order: int, rows: Iterable[Row]
 ) -> Iterator[str]:
     """The chunks of text of a moment series' rows (orders 1..max_order)
-    in one of FORMATS; ``emit`` of the same series gives their join as
-    UTF-8 bytes.  An unknown format raises at the call."""
+    in one of FORMATS.  An unknown format raises at the call."""
     if fmt == "json":
         fields = {
             "rank": rank,
@@ -254,14 +176,3 @@ def write_series(
     if fmt == "tex":
         return write_tex(rows)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-
-
-def emit(series: MomentSeries, fmt: str) -> bytes:
-    """Serialize a series to UTF-8 bytes in one of FORMATS."""
-    if series.kind == "scalar":
-        cells = map(str, series.values)
-    else:
-        cells = (v._spelled() for v in series.values)
-    rows = enumerate(cells, 1)
-    chunks = write_series(fmt, series.rank, series.kind, series.max_order, rows)
-    return "".join(chunks).encode("utf-8")

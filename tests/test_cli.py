@@ -258,13 +258,13 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, where):
 
 def test_unwritable_output_is_refused_before_computing(tmp_path, capsys, monkeypatch):
     steps = []
-    real = fpmom.oracle.iter_decompositions
+    real = fpmom.oracle.iter_power_classes
 
-    def counting_iter_decompositions(*args, **kwargs):
+    def counting_iter_power_classes(*args, **kwargs):
         steps.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fpmom.oracle, "iter_decompositions", counting_iter_decompositions)
+    monkeypatch.setattr(fpmom.oracle, "iter_power_classes", counting_iter_power_classes)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(
         capsys, "verify", "--rank", "2", "--max-order", "11", "--output", "missing/x.json"
@@ -348,32 +348,36 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def _amalg_text(rank, max_order, fmt):
+    """``amalg``'s text, from E(G^n) of the row recurrence at every order."""
+    cells = (fpmom.amalgamated_moment(n, rank)._spelled() for n in range(1, max_order + 1))
+    rows = enumerate(cells, 1)
+    return "".join(fpmom.series.write_series(fmt, rank, "amalgamated", max_order, rows))
+
+
 @pytest.mark.parametrize("fmt", fpmom.series.FORMATS)
 @pytest.mark.parametrize("rank", range(2, 8))
 def test_amalg_writes_what_emit_writes(capsys, rank, fmt):
-    # amalg writes from the even powers; emit writes a series built on the chain
+    # amalg writes from the even walk; the reference from the row recurrence
     for max_order in range(1, 61):
         code, out, _ = run(capsys, "amalg", "--rank", str(rank), "--max-order",
                            str(max_order), "--format", fmt)
         assert code == 0
-        expected = fpmom.emit(fpmom.amalgamated_series(rank, max_order), fmt)
-        assert out.encode("utf-8") == expected, max_order
+        assert out == _amalg_text(rank, max_order, fmt), max_order
 
 
 def test_amalg_walks_only_the_even_powers(capsys, monkeypatch):
-    series = fpmom.amalgamated_series(3, 41)
-    expected = {fmt: fpmom.emit(series, fmt) for fmt in fpmom.series.FORMATS}
+    expected = {fmt: _amalg_text(3, 41, fmt) for fmt in fpmom.series.FORMATS}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("amalg walked the chain of every power")
+        raise AssertionError("amalg left the even walk")
 
     monkeypatch.setattr(fpmom.recurrence.RadialDecomposition, "step", refuse)
-    for module in (fpmom.recurrence, fpmom.series):
-        monkeypatch.setattr(module, "iter_decompositions", refuse)
+    monkeypatch.setattr(fpmom.recurrence, "_radial_row", refuse)
     for fmt, data in expected.items():
         code, out, _ = run(capsys, "amalg", "--rank", "3", "--max-order", "41", "--format", fmt)
         assert code == 0
-        assert out.encode("utf-8") == data, fmt
+        assert out == data, fmt
 
 
 @pytest.mark.parametrize("rank, max_power", [(1, 9), (2, 7), (3, 5), (5, 3), (27, 2)])

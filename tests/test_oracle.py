@@ -94,8 +94,8 @@ def test_tree_leg_holds_no_distance_table():
 
 
 def test_constant_only_paths_walk_no_chain(monkeypatch):
-    # Step counts, not timings: scalar moments, a single power and a tree-only
-    # verify take no chain step; a ring leg steps the chain to its limit only.
+    # Step counts, not timings: scalar moments, a single power and verify,
+    # with or without its ring leg, take no chain step.
     steps = []
     real_step = RadialDecomposition.step
 
@@ -105,12 +105,36 @@ def test_constant_only_paths_walk_no_chain(monkeypatch):
 
     monkeypatch.setattr(RadialDecomposition, "step", counting_step)
     m = 500
-    assert fpmom.series.scalar_series(2, m).value(m) == returning_walks(2, m)[m]
+    assert fpmom.series.scalar_series(2, m)[m - 1] == returning_walks(2, m)[m]
     assert decomposition_of(m, 2).mass() == 4**m
     assert all(r.passed for r in verify(2, m, ring_max_order=0))
     assert steps == []
+    # the ring leg checks the engines the commands ship, not the chain
     assert all(r.passed for r in verify(2, 40, ring_max_order=6))
-    assert steps == [2, 3, 4, 5, 6]
+    assert steps == []
+
+
+def test_radiality_checks_the_even_walk(monkeypatch):
+    # a fault in the even walk's G^6, which amalg writes, must be caught
+    real_walk = fpmom.oracle.iter_even_decompositions
+    walked = []
+
+    def wrong_walk(rank, max_power):
+        for d in real_walk(rank, max_power):
+            walked.append(d.power)
+            if d.power == 6:
+                d = RadialDecomposition._of(rank, 6, [d.classes[0] + 1, *d.classes[1:]])
+            yield d
+
+    monkeypatch.setattr(fpmom.oracle, "iter_even_decompositions", wrong_walk)
+    scalar, amalgamated, radiality = verify(2, 8)
+    assert walked == [2, 4, 6, 8]
+    assert radiality.mismatches == [
+        Mismatch("order 6, length 0: radial coefficient", "233", "232"),
+        Mismatch("order 6, length 0: row recurrence", "233", "232"),
+    ]
+    assert scalar.passed  # the trace is checked against the P-recurrence
+    assert [m.location for m in amalgamated.mismatches] == ["order 6: conditional expectation"]
 
 
 def test_radiality_compares_the_chain_with_the_row_recurrence(monkeypatch):

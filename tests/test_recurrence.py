@@ -10,7 +10,6 @@ from fpmom.recurrence import (
     _scalar_moments,
     amalgamated_moment,
     decomposition_of,
-    iter_decompositions,
     iter_even_decompositions,
     scalar_moment,
 )
@@ -19,19 +18,29 @@ from fpmom.recurrence import (
 ENGINE_RANKS = (1, 2, 3, 5, 8, 30)
 
 
+def _chain(rank, max_power):
+    """G^1 .. G^max_power, each by one ``step`` from the one before: the
+    chain every faster engine is pinned to."""
+    d = decomposition_of(1, rank)
+    yield d
+    for _ in range(max_power - 1):
+        d = d.step()
+        yield d
+
+
 def test_initial():
-    d = next(iter_decompositions(2, 1))
+    d = decomposition_of(1, 2)
     assert d.power == 1
     assert dict(d.coeffs) == {1: 1}
     assert d.mass() == 4
-    assert next(iter_decompositions(3, 1)).mass() == 6
+    assert decomposition_of(1, 3).mass() == 6
     assert repr(d) == "RadialDecomposition(rank=2, power=1, classes=[1])"
     with pytest.raises(TypeError):
-        RadialDecomposition(2, 2, {2: 1, 0: 4})  # only the chain builds decompositions
+        RadialDecomposition(2, 2, {2: 1, 0: 4})  # only the engines build decompositions
 
 
 def test_single_steps():
-    d = next(iter_decompositions(2, 1))
+    d = decomposition_of(1, 2)
     d2 = d.step()
     assert dict(d2.coeffs) == {2: 1, 0: 4}
     d3 = d2.step()
@@ -64,28 +73,16 @@ def test_decompositions_other_ranks():
     assert dict(decomposition_of(4, 1).coeffs) == {4: 1, 2: 4, 0: 6}
 
 
-def test_iter_decompositions():
-    powers = [d.power for d in iter_decompositions(2, 6)]
-    assert powers == [1, 2, 3, 4, 5, 6]
-    last = list(iter_decompositions(2, 8))[-1]
-    assert last == decomposition_of(8, 2)
-    assert decomposition_of(2, 2) != decomposition_of(2, 3)
-    with pytest.raises(ValueError):
-        list(iter_decompositions(2, 0))
-    with pytest.raises(ValueError):
-        decomposition_of(0, 2)
-
-
 def test_row_recurrence_matches_the_chain():
     # every class, m = 0 included, of every power up to 120
     for rank in ENGINE_RANKS:
-        for whole in iter_decompositions(rank, 120):
+        for whole in _chain(rank, 120):
             assert decomposition_of(whole.power, rank) == whole, (rank, whole.power)
 
 
 def test_p_recurrence_matches_the_chain():
     for rank in ENGINE_RANKS:
-        constants = [d.coeffs.get(0, 0) for d in iter_decompositions(rank, 300)]
+        constants = [d.coeffs.get(0, 0) for d in _chain(rank, 300)]
         assert list(_scalar_moments(rank, 300)) == constants, rank
         assert scalar_moment(300, rank) == constants[-1]
         assert scalar_moment(299, rank) == 0
@@ -109,7 +106,7 @@ def test_new_engines_check_exact_division_and_positivity(monkeypatch):
 def test_even_powers_match_the_chain(rank):
     # one X_1^2 pass per power gives the chain's even powers, every class
     max_power = 200 if rank == 2 else 120
-    chain = list(iter_decompositions(rank, max_power))[1::2]
+    chain = list(_chain(rank, max_power))[1::2]
     even = list(iter_even_decompositions(rank, max_power))
     assert [d.power for d in even] == list(range(2, max_power + 1, 2))
     for d, whole in zip(even, chain, strict=True):
@@ -182,7 +179,7 @@ def test_scalar_moment_is_the_last_series_value(monkeypatch):
         series = scalar_series(rank, 200)
         for n in range(1, 201):
             calls.clear()
-            assert scalar_moment(n, rank) == series.value(n), (rank, n)
+            assert scalar_moment(n, rank) == series[n - 1], (rank, n)
             # odd orders never run the P-recurrence
             assert calls == ([] if n % 2 else [n]), (rank, n)
 
@@ -212,13 +209,13 @@ def test_amalgamated_rejects_rank_one():
 
 def test_mass_identity():
     for rank in (1, 2, 3, 5):
-        for d in iter_decompositions(rank, 25):
+        for d in _chain(rank, 25):
             assert d.mass() == (2 * rank) ** d.power
 
 
 def test_structure_invariants():
     for rank in (1, 2, 3):
-        for d in iter_decompositions(rank, 20):
+        for d in _chain(rank, 20):
             n = d.power
             assert d.coeffs.get(n, 0) == 1
             for m, c in d.coeffs.items():
@@ -237,7 +234,7 @@ def test_amalgamated_symmetry_and_constant_term():
 
 def test_coefficient_table_values():
     # the chain G^1..G^8 is the table: row n is the decomposition of G^n
-    table = list(iter_decompositions(2, 8))
+    table = list(_chain(2, 8))
     assert table[1].coeffs.get(0, 0) == 4
     assert table[2].coeffs.get(1, 0) == 7
     assert table[3].coeffs.get(2, 0) == 10
@@ -247,19 +244,24 @@ def test_coefficient_table_values():
     assert table[5].coeffs.get(4, 0) == 16
     assert table[7].coeffs.get(6, 0) == 22
     assert table[7].coeffs.get(4, 0) == 202
-    t3 = list(iter_decompositions(3, 3))
+    t3 = list(_chain(3, 3))
     assert t3[1].coeffs.get(0, 0) == 6
     assert t3[2].coeffs.get(1, 0) == 11
 
 
 def test_table_agrees_with_decompositions():
     for rank in (1, 2, 3):
-        table = list(iter_decompositions(rank, 10))
+        table = list(_chain(rank, 10))
+        assert [d.power for d in table] == list(range(1, 11))
         for n in range(1, 11):
             d = decomposition_of(n, rank)
+            assert table[n - 1] == d
             for m in range(-1, n + 2):
                 assert table[n - 1].coeffs.get(m, 0) == d.coeffs.get(m, 0)
             assert list(table[n - 1].rows()) == sorted(d.coeffs.items(), reverse=True)
+    assert decomposition_of(2, 2) != decomposition_of(2, 3)
+    with pytest.raises(ValueError):
+        decomposition_of(0, 2)
 
 
 @given(st.integers(1, 6), st.integers(1, 30))
