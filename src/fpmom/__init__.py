@@ -7,7 +7,10 @@ moment series over the cyclic subgroup generated by the canonical
 length-2N word (all generators times all inverses), using a fast radial
 recurrence that is cross-checked against two independent oracles:
 brute-force group-ring expansion and walk counting on the 2N-regular
-tree.  All arithmetic is exact (Python integers throughout).
+tree.  All arithmetic is exact: the library computes in Python integers,
+and the ``scalar`` and ``xdecomp`` commands run their recurrences in
+exact ``decimal`` arithmetic when the values grow long enough that
+spelling them as integers would dominate the run (``fpmom.recurrence``).
 """
 
 from ._version import TOOL_VERSION as __version__

@@ -39,7 +39,14 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .recurrence import decomposition_of
+from .recurrence import (
+    _ROW_GATE,
+    _SCALAR_GATE,
+    _exact_decimal,
+    _radial_row,
+    _scalar_moments,
+    decomposition_of,
+)
 from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes
 from .oracle import self_test, verify
 from .series import (
@@ -54,6 +61,7 @@ from .words import _terms_json
 
 if TYPE_CHECKING:
     import argparse
+    import decimal
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -109,9 +117,17 @@ def _check_output(args: argparse.Namespace) -> None:
     raise _UsageError(f"cannot write {path}: {os.strerror(err)}")
 
 
-def _write_output(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+def _write_output(
+    args: argparse.Namespace, chunks: Iterable[str], context: decimal.Context | None = None
+) -> None:
     """Write each chunk, as it comes, to --output or to stdout; a failed
-    write exits 2 either way."""
+    write exits 2 either way.  A decimal ``context`` is the current one
+    while the chunks are made, so an engine that yields them runs in it."""
+    if context is not None:
+        from decimal import localcontext
+
+        with localcontext(context):
+            return _write_output(args, chunks)
     if args.output is None:
         out = sys.stdout
         try:
@@ -152,8 +168,14 @@ def _point_at_devnull(fd: int) -> None:
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:
-    rows = enumerate(map(str, scalar_series(args.rank, args.max_order)), 1)
-    _write_output(args, write_series(args.format, args.rank, "scalar", args.max_order, rows))
+    context = _exact_decimal(args.max_order, args.rank, _SCALAR_GATE)
+    if context is None:
+        values = scalar_series(args.rank, args.max_order)
+    else:  # the P-recurrence runs in decimal as the rows are read
+        values = _scalar_moments(args.rank, args.max_order, context.create_decimal(1))
+    rows = enumerate(map(str, values), 1)
+    chunks = write_series(args.format, args.rank, "scalar", args.max_order, rows)
+    _write_output(args, chunks, context)
     return EXIT_OK
 
 
@@ -170,10 +192,22 @@ def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) 
     return write_csv(rows, header="m,coefficient")
 
 
+def _xdecomp_rows(
+    power: int, rank: int, context: decimal.Context | None
+) -> Iterator[tuple[int, str]]:
+    """(m, c_m) of G^power, longest class first, with c_m spelled.  The
+    row is built at the first read, in decimal when ``context`` is given."""
+    if context is None:
+        classes = decomposition_of(power, rank).classes
+    else:
+        classes = _radial_row(power, rank, context.create_decimal(1))
+    yield from zip(range(power, -1, -2), map(str, reversed(classes)))
+
+
 def cmd_xdecomp(args: argparse.Namespace) -> int:
-    dec = decomposition_of(args.power, args.rank)
-    rows = ((m, str(c)) for m, c in dec.rows())
-    _write_output(args, _xdecomp_payload(args, rows))
+    context = _exact_decimal(args.power, args.rank, _ROW_GATE)
+    rows = _xdecomp_rows(args.power, args.rank, context)
+    _write_output(args, _xdecomp_payload(args, rows), context)
     if args.rank == 2 and args.power == 8:
         print(
             "note: the coefficients at lengths 2 and 0 are 958 and 2092; the values "

@@ -54,6 +54,27 @@ from a_0 = 1 and a_1 = 2N: O(1) big-int operations per order.  Both
 check that every division is exact and every value positive, as
 ``step`` checks its own invariants.
 
+Number type.  The row recurrence and the P-recurrence build their seeds
+from a unit ``one``, so the same code runs on int and on
+``decimal.Decimal``.  CPython spells an int in decimal in time quadratic
+in its digit count; a Decimal is spelled in linear time, and multiplying
+it by a small int or dividing it exactly by one is linear too.  So
+``fpmom scalar`` and ``fpmom xdecomp`` run these engines on Decimal above
+a gate, in the context ``_exact_decimal`` returns: precision
+``MAX_PREC``, exponents up to ``MAX_EMAX`` and down to ``MIN_EMIN``, with
+``Inexact`` and ``Rounded`` trapped, so a value that would lose a digit
+raises instead of being written.  The gate reads the largest value,
+tr(G^n) ~ (4q)^(n/2), whose bit length is about b = (n/2) log2(4q):
+spelling the n/2 values as ints costs about (n/2) b^2, and above a
+constant that outweighs importing ``decimal`` (about 1.4 ms in a fresh
+process) and the Decimal engine's overhead.  Timed in fresh processes,
+the two paths break even near 5.5 * 10^9 bit^2 for the moments
+(``_SCALAR_GATE``; order 1498 at rank 2, 1078 at rank 8) and near
+4 * 10^9 for a row (``_ROW_GATE``; power 1346 at rank 2, 970 at rank 8)
+at every rank from 2 to 8.  The gate is computed in ints, and
+``decimal`` is imported above it only.  Every public function here, and
+``verify``, computes in int.
+
 Why both hold.  c_m(n) counts the walks of length n on the 2N-regular
 tree from the root to one fixed vertex at distance m.  Let C be the
 Catalan series and F(z) = z C(qz^2), so F = z + qzF^2: one step away
@@ -195,14 +216,15 @@ def iter_even_decompositions(rank: int, max_power: int) -> Iterator[RadialDecomp
         yield RadialDecomposition._of(rank, n, c)
 
 
-def _radial_row(n: int, rank: int) -> list[int]:
+def _radial_row(n: int, rank: int, one=1) -> list:
     """``classes`` of G^n by one downward pass of the row recurrence
-    (module docstring), in its difference form."""
+    (module docstring), in its difference form, in the number type of
+    ``one``."""
     if n == 1:
-        return [1]
+        return [one]
     q = 2 * rank - 1
-    row = [1, 2 * rank + (n - 2) * q]  # c_n, c_(n-2), c_(n-4), ...
-    diff = row[1] - 1  # c_(m+2) - c_(m+4)
+    row = [one, (2 * rank + (n - 2) * q) * one]  # c_n, c_(n-2), c_(n-4), ...
+    diff = row[1] - one  # c_(m+2) - c_(m+4)
     for m in range(n - 4, -1, -2):
         diff, rest = divmod(q * (m + 1) * (m + n + 4) * diff, (m + 3) * (n - m))
         c = row[-1] + diff
@@ -220,24 +242,50 @@ def decomposition_of(n: int, rank: int) -> RadialDecomposition:
     return RadialDecomposition._of(rank, n, _radial_row(n, rank))
 
 
-def _scalar_moments(rank: int, max_order: int) -> Iterator[int]:
+def _scalar_moments(rank: int, max_order: int, one=1) -> Iterator:
     """Yield tr(G^1), ..., tr(G^max_order) by the P-recurrence (module
-    docstring), holding two moments at a time."""
+    docstring), holding two moments at a time; the even orders come in
+    the number type of ``one``, the odd ones as the int 0."""
     two_n, q = 2 * rank, 2 * rank - 1
     k2 = two_n * two_n
-    before, last = 1, two_n  # a_(k-2), a_(k-1)
+    before, last = one, two_n * one  # a_(k-2), a_(k-1)
     for n in range(1, max_order + 1):
         k = n // 2
         if n % 2:
             yield 0
         elif k == 1:
-            yield two_n
+            yield last
         else:
             a, rest = divmod(((k2 + 4 * q) * k - 6 * q) * last - k2 * q * (4 * k - 6) * before, k)
             if rest or a <= 0:
                 raise ValueError(f"P-recurrence broke at order {n}")
             before, last = last, a
             yield a
+
+
+# The decimal gates (module docstring), in bit^2: a row's classes are
+# longer on average than the moments up to the same order, and cost one
+# Decimal operation fewer each, so the row recurrence switches sooner.
+_SCALAR_GATE = 5_500_000_000
+_ROW_GATE = 4_000_000_000
+
+
+def _exact_decimal(n: int, rank: int, gate: int):
+    """None when the values up to G^n are short enough to spell as int,
+    else an exact ``decimal.Context`` to run an engine in (module
+    docstring); ``gate`` is the engine's, ``_SCALAR_GATE`` or ``_ROW_GATE``.
+
+    The gate is computed in ints, and ``decimal`` is imported above it only.
+    """
+    k, q = n // 2, 2 * rank - 1
+    bits = k * ((4 * q) ** 16).bit_length() // 16  # about k log2(4q)
+    if k * bits * bits <= gate:
+        return None
+    import decimal
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    return context
 
 
 def scalar_moment(n: int, rank: int) -> int:

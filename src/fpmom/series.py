@@ -13,7 +13,9 @@ most ``fpmom.words._CHUNK`` characters, which reads and spells the rows
 only as the chunks are asked for.  A decimal cell is copied into its
 row's piece; a polynomial's text, which can be long, is a piece of its
 own, so it is never copied before its chunk is joined.
-``scalar_series`` gives the values ``fpmom scalar`` writes.
+``scalar_series`` gives the values ``fpmom scalar`` writes below the
+decimal gate of ``fpmom.recurrence``; above it the command runs the same
+P-recurrence in exact decimal.
 ``amalgamated_rows`` feeds the writers E(G^n) straight from the classes
 of the even powers, which ``iter_even_decompositions`` walks by X_1^2
 (an odd row is the zero cell), spelling each coefficient once for both

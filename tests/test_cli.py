@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -453,6 +454,105 @@ def test_xdecomp_past_the_digit_limit(capsys, digit_limit):
     assert mass == 60**3700
 
 
+def test_int_values_past_the_digit_limit_below_the_gate(capsys, digit_limit):
+    # a huge rank puts 4521-digit values below the decimal gate, so the int
+    # path spells them and main's lift of the limit is what lets it
+    rank = 2**1500
+    assert fpmom.recurrence._exact_decimal(20, rank, fpmom.recurrence._SCALAR_GATE) is None
+    out, big_int = _run_past_digit_limit(
+        capsys, digit_limit, "scalar", "--rank", str(rank), "--max-order", "20", "--format", "csv"
+    )
+    values = [big_int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert values[1::2] == _kesten(rank, 10)[1:]
+    assert values[-1] >= 10**digit_limit
+
+
+def _first_order_above(gate, rank):
+    # the gate reads n // 2, so it opens at an even order, below 2000 at
+    # ranks 2 to 8
+    gated = (n for n in range(2, 2000, 2) if fpmom.recurrence._exact_decimal(n, rank, gate))
+    return next(gated)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 8])
+def test_decimal_path_writes_the_int_engines_bytes_at_the_gate(capsys, rank):
+    above = _first_order_above(fpmom.recurrence._SCALAR_GATE, rank)
+    for n in (above - 1, above):
+        values = fpmom.series.scalar_series(rank, n)
+        for fmt in fpmom.series.FORMATS:
+            rows = enumerate(map(str, values), 1)
+            want = "".join(fpmom.series.write_series(fmt, rank, "scalar", n, rows))
+            code, out, _ = run(
+                capsys, "scalar", "--rank", str(rank), "--max-order", str(n), "--format", fmt
+            )
+            assert (code, out) == (0, want), (n, fmt)
+    above = _first_order_above(fpmom.recurrence._ROW_GATE, rank)
+    for n in (above - 1, above):
+        rows = [(m, str(c)) for m, c in fpmom.decomposition_of(n, rank).rows()]
+        for fmt in ("csv", "json"):
+            args = SimpleNamespace(format=fmt, rank=rank, power=n)
+            payload = fpmom.cli._xdecomp_payload(args, rows)
+            code, out, _ = run(
+                capsys, "xdecomp", "--rank", str(rank), "--power", str(n), "--format", fmt
+            )
+            assert (code, out) == (0, "".join(payload)), (n, fmt)
+
+
+def test_decimal_is_imported_above_the_gate_only():
+    # a job below the gate must not pay for importing decimal
+    scalar_top = _first_order_above(fpmom.recurrence._SCALAR_GATE, 8) - 1
+    row_top = _first_order_above(fpmom.recurrence._ROW_GATE, 8) - 1
+    below = [
+        f"scalar --rank 8 --max-order {scalar_top} --format tex",
+        "scalar --rank 2 --max-order 1300",
+        f"xdecomp --rank 8 --power {row_top} --format json",
+        "xdecomp --rank 3 --power 1100",
+        "amalg --rank 3 --max-order 120 --format csv",
+        "expand --rank 3 --power 4",
+        "verify --rank 8 --max-order 900 --oracle tree",
+        "verify --rank 3 --max-order 5 --oracle both",
+    ]
+    above = [f"xdecomp --rank 8 --power {row_top + 1}"]
+    script = (
+        "import io, sys\n"
+        "from fpmom.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "seen = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert main(argv.split()) == 0, argv\n"
+        "    seen.append('decimal' in sys.modules)\n"
+        "print(seen, file=sys.__stdout__)\n"
+    )
+    _, env = _fpmom_argv_env()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *below, *above], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[False] * len(below) + [True]}\n"
+
+
+# sha256 of --output, recorded on the int engines, before runs above the
+# decimal gate ran in decimal
+LARGE_OUTPUT = {
+    "scalar --rank 2 --max-order 16000":
+        "7baef07a5726569db10b3dc2e63fcc89e6407951e8cfe2d97b8f636dd323c681",
+    "xdecomp --rank 2 --power 20000 --format csv":
+        "934de3913254b3d95f65ce335bdd2d455c456068da26716f9b18cf6ce28bdff6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_OUTPUT))
+def test_large_runs_keep_their_bytes(tmp_path, command):
+    target = tmp_path / "out"
+    assert main([*command.split(), "--output", str(target)]) == 0
+    digest = hashlib.sha256()
+    with open(target, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    target.unlink()
+    assert digest.hexdigest() == LARGE_OUTPUT[command]
+
+
 def _fpmom_argv_env(*argv):
     """The argv and environment of ``python -m fpmom`` on the copy of fpmom
     these tests import."""
@@ -576,6 +676,12 @@ GOLDEN_STDOUT = {
     # joins cross the 4,096-prefix chunk boundary six times
     "expand --rank 2 --power 10":
         "adfcdb7eb6ac18f8c24a1026b6921e5d7a8656fa0ac26e97206ef2356caae9b7",
+    # recorded on the int engines, before runs above the decimal gate ran in
+    # decimal; both runs are above it
+    "scalar --rank 8 --max-order 1300 --format tex":
+        "74df2138f318e3c705cd2553c7399f7e78d1b3d75cdcd272d13d15ebf36b0f93",
+    "xdecomp --rank 4 --power 1300 --format csv":
+        "db51006b78d441ad84f628c5263f43cb1bb0ab18e0400933844d7bc841f427b4",
 }
 
 

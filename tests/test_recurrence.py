@@ -1,3 +1,5 @@
+import decimal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,55 @@ def test_new_engines_check_exact_division_and_positivity(monkeypatch):
         decomposition_of(6, 2)
     with pytest.raises(ValueError, match="P-recurrence"):
         scalar_moment(6, 2)
+
+
+def _exact():
+    """The exact decimal context the CLI runs the engines in far above the gate."""
+    return fpmom.recurrence._exact_decimal(10**6, 2, fpmom.recurrence._ROW_GATE)
+
+
+def test_decimal_engines_spell_what_the_int_engines_spell():
+    with decimal.localcontext(_exact()) as context:
+        one = context.create_decimal(1)
+        for rank in ENGINE_RANKS:
+            moments = list(_scalar_moments(rank, 300, one))
+            assert {type(a) for a in moments[1::2]} == {decimal.Decimal}
+            assert list(map(str, moments)) == list(map(str, _scalar_moments(rank, 300))), rank
+            for n in (1, 2, 3, 120, 121):
+                row = _radial_row(n, rank, one)
+                assert {type(c) for c in row} == {decimal.Decimal}
+                assert list(map(str, row)) == list(map(str, _radial_row(n, rank))), (rank, n)
+
+
+def test_decimal_engines_never_round():
+    # a 50-digit context holds tr(G^60) at rank 2 (31 digits) and no more
+    with decimal.localcontext(_exact()) as context:
+        context.prec = 50
+        one = context.create_decimal(1)
+        assert str(list(_scalar_moments(2, 60, one))[-1]) == str(scalar_moment(60, 2))
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            list(_scalar_moments(2, 200, one))
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            _radial_row(200, 2, one)
+
+
+def test_decimal_engines_refuse_what_the_int_engines_refuse(monkeypatch):
+    with decimal.localcontext(_exact()) as context:
+        for one in (-1, context.create_decimal(-1)):  # a corrupted seed
+            with pytest.raises(ValueError, match="^P-recurrence broke at order 4$"):
+                list(_scalar_moments(2, 10, one))
+            with pytest.raises(ValueError, match="^row recurrence for G\\^10 broke at class 6$"):
+                _radial_row(10, 2, one)
+        one = context.create_decimal(1)
+        with pytest.raises(ValueError, match="^row recurrence for G\\^4 broke at class 0$"):
+            _radial_row(4, 0, one)
+        with pytest.raises(ValueError, match="^P-recurrence broke at order 4$"):
+            list(_scalar_moments(0, 4, one))
+        monkeypatch.setattr(fpmom.recurrence, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(ValueError, match="^row recurrence for G\\^6 broke at class 2$"):
+            _radial_row(6, 2, one)
+        with pytest.raises(ValueError, match="^P-recurrence broke at order 4$"):
+            list(_scalar_moments(2, 6, one))
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
