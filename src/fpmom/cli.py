@@ -222,7 +222,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     classes = {0: [1]}  # G^0
     for _, classes in iter_power_classes(args.rank, args.power, args.support_cap):
         pass
-    _write_output(args, _terms_json(args.rank, ((m, None, c) for m, c in classes.items())))
+    _write_output(args, _terms_json(args.rank, classes))
     return EXIT_OK
 
 

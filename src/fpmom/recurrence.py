@@ -173,10 +173,6 @@ class RadialDecomposition:
         parity = self.power % 2
         return MappingProxyType({2 * i + parity: c for i, c in enumerate(self.classes)})
 
-    def rows(self) -> Iterator[tuple[int, int]]:
-        """(class length, coefficient) pairs, longest class first."""
-        return zip(range(self.power, -1, -2), reversed(self.classes))
-
     def mass(self) -> int:
         """Total word count with multiplicity; equals (2N)^power."""
         return sum(c * reduced_word_count(m, self.rank) for m, c in self.coeffs.items())

@@ -17,9 +17,9 @@ that extend a word give keys no other term shares, so they fill the
 product in one dict comprehension, and only the cancellations are
 looked up.  ``Word`` stays the type of the public API: the
 constructor and ``coefficient`` read a word's int, ``terms`` wraps each
-int in a ``Word``, and ``to_json`` spells the ints directly.  Sorted,
-the keys of one word length form one run; a run that is a whole length
-class goes to ``fpmom.words._terms_json`` as one coefficient list.
+int in a ``Word``, and ``to_json`` spells the sorted ints directly, one
+term at a time.  It shares no code with ``fpmom.words._terms_json``, the
+writer of the ``expand`` command, so the two spellings check each other.
 
 ``iter_power_classes``, the expansion that ``verify`` and ``expand``
 run, skips elements and keys: it holds each power of G as one
@@ -34,7 +34,6 @@ refuses with :class:`SupportCapError` rather than exhausting memory.
 from __future__ import annotations
 
 import json
-from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -42,12 +41,11 @@ from .laurent import LaurentPolynomial
 from .words import (
     Word,
     _inverse_digit,
-    _length_runs,
     _letter_bits,
     _level,
     _packed_length,
     _require_int,
-    _terms_json,
+    _speller,
     format_word,
     reduced_word_count,
 )
@@ -169,21 +167,19 @@ class RingElement:
         """The element as one line of JSON, newline included:
         {"rank":N,"terms":[{"word":"...","coeff":"<decimal>"},...]}.
 
-        Terms are in canonical word order, so output is reproducible.  In
-        that order the words of one length are one run, and a run that
-        holds a whole length class goes to ``_terms_json`` as the class's
-        coefficient list, which spells a class with one coefficient one
-        join per stem.  The text is the join of ``_terms_json``'s chunks.
+        Terms are in canonical word order, the order of the sorted keys, so
+        output is reproducible.  Each word is spelled on its own, with the
+        rules of ``format_word``, and the terms are joined once.
         """
         rank = self._rank
         terms = self._terms
-        keys = sorted(terms)
-        runs = (
-            (m, None if j - i == reduced_word_count(m, rank) else keys[i:j],
-             list(map(terms.__getitem__, islice(keys, i, j))))
-            for m, i, j in _length_runs(keys, _letter_bits(rank))
+        lone, _, spell = _speller(rank)
+        k = _letter_bits(rank)
+        body = ",".join(
+            f'{{"word":"{spell(w) if w >> k else lone[w]}","coeff":"{terms[w]}"}}'
+            for w in sorted(terms)
         )
-        return "".join(_terms_json(rank, runs))
+        return f'{{"rank":{rank},"terms":[{body}]}}\n'
 
     def to_json_dict(self) -> dict:
         """The parsed ``to_json``: {"rank": N, "terms": [{"word": ..., "coeff": ...}, ...]}."""

@@ -37,16 +37,16 @@ without separators (``"abAB"``); the identity is ``"e"``.  Indexed form
 In compact form the lone word for generator 5 would spell ``"e"``, like
 the identity, so ``format_word`` writes the indexed token ``"g5"`` for it
 instead; that keeps the output unambiguous, since no two words spell
-alike.  ``_terms_json`` writes group-ring terms as JSON with these rules,
-in chunks of at most ``_CHUNK`` characters (``_chunks``), for
-``RingElement.to_json`` and for the ``expand`` command.
+alike.  ``_terms_json`` writes the classes of a power of G as JSON with
+these rules, in chunks of at most ``_CHUNK`` characters (``_chunks``),
+for the ``expand`` command only; ``RingElement.to_json`` spells its terms
+on its own, as an independent check of it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Word",
@@ -66,22 +66,6 @@ def _inverse_digit(d: int) -> int:
 
 def _packed_length(w: int, k: int) -> int:
     return -(-w.bit_length() // k)
-
-
-def _length_runs(keys: Sequence[int], k: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (m, i, j) for each word length m in the sorted packed words
-    keys, shortest first, where keys[i:j] are the words of length m.
-
-    Int order is length first, and a word of length m is below
-    ``1 << k * m`` while one of length m + 1 is not, so each run is found
-    by one bisection.
-    """
-    i, end = 0, len(keys)
-    while i < end:
-        m = _packed_length(keys[i], k)
-        j = bisect_left(keys, 1 << k * m, i)
-        yield m, i, j
-        i = j
 
 
 class Word:
@@ -177,8 +161,8 @@ def _speller(rank: int) -> tuple[list[str], list[str], Callable[[int], str]]:
     one letter (w <= mask): those spell as lone[w], where the identity is
     "e" and, in compact form, generator 5 is "g5".  tails[d] is the
     separator, then the letter with digit d, so a longer word spells as
-    spell(w >> k) + tails[w & mask], and a caller that spells a sorted
-    support can spell each prefix once for all the words it begins.
+    spell(w >> k) + tails[w & mask], and a caller can spell the words of
+    one length from those one letter shorter.
     """
     k = _letter_bits(rank)
     mask = (1 << k) - 1
@@ -306,36 +290,27 @@ def _chunks(pieces: Iterable[str]) -> Iterator[str]:
         count = max(1, min(2 * count, count * limit // (2 * size or 1)))
 
 
-def _terms_json(
-    rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Sequence[int]]]
-) -> Iterator[str]:
+def _terms_json(rank: int, classes: Mapping[int, Sequence[int]]) -> Iterator[str]:
     """The JSON text of group-ring terms, newline included, in chunks of
     at most ``_CHUNK`` characters, each yielded as soon as it is ready:
     {"rank":N,"terms":[{"word":"...","coeff":"<decimal>"},...]}.
 
-    ``RingElement.to_json`` joins the chunks; the ``expand`` command writes
-    them.  Each run is (m, words, coeffs), shortest words first: the
-    sorted packed words of length m and their coefficients, or words None
-    when coeffs lists the whole class of length m in ``_level(m, rank)``
-    order, where a 0 is a missing word.  A whole class m >= 2 with one
-    coefficient lists, stem by stem, each stem (a word of length m - t)
-    followed by every word of length t that may follow it, so it is
-    spelled one join per stem from the spelled words of lengths m - t and
-    t; t is the longest length whose (2N - 1)^t terms fit in a chunk,
-    which keeps both lists short.  Any other run is spelled term by term:
-    the words that share a prefix are adjacent, so each prefix is spelled
-    once, and each distinct coefficient is spelled once.  Its terms are
-    joined a few hundred at a time, so their strings never all live at
-    once.
+    The ``expand`` command writes the chunks.  classes maps each word
+    length m, shortest first, to the coefficients of the whole class of
+    length m in ``_level(m, rank)`` order, where a 0 is a missing word: the
+    classes that ``fpmom.ring.iter_power_classes`` yields.  A class
+    m >= 2 with one coefficient lists, stem by stem, each stem (a word of
+    length m - t) followed by every word of length t that may follow it,
+    so it is spelled one join per stem from the spelled words of lengths
+    m - t and t; t is the longest length whose (2N - 1)^t terms fit in a
+    chunk, which keeps both lists short.  Any other class is spelled term
+    by term, and its terms are joined a few hundred at a time, so their
+    strings never all live at once.
     """
-    return _chunks(_terms_pieces(rank, runs))
+    return _chunks(_terms_pieces(rank, classes))
 
 
-def _terms_pieces(
-    rank: int, runs: Iterable[tuple[int, Sequence[int] | None, Sequence[int]]]
-) -> Iterator[str]:
-    k = _letter_bits(rank)
-    mask = (1 << k) - 1
+def _terms_pieces(rank: int, classes: Mapping[int, Sequence[int]]) -> Iterator[str]:
     q = 2 * rank - 1
     lone, tails, spell = _speller(rank)
     follow = _follow(rank)
@@ -353,73 +328,57 @@ def _terms_pieces(
             lasts = [d for e in lasts for d in follow[e]]
         return texts, lasts
 
-    # ends[c][d]: the last letter, digit d, then coefficient c; ends[c][0]: c alone
-    ends: dict[int, list[str]] = {}
     out: list[str] = []
-    last = head = None
     comma = ""  # before the next group of terms
-    yield f'{{"rank":{rank},"terms":['
-    for m, words, coeffs in runs:
-        if words is None:
-            if m >= 2 and coeffs.count(coeffs[0]) == len(coeffs):
-                if not coeffs[0]:
-                    continue
-                if out:
-                    yield comma
-                    yield ",".join(out)
-                    out.clear()
-                    comma = ","
-                close = f'","coeff":"{coeffs[0]}"}}'
-                between = close + ',{"word":"'  # between two words of the class
-                width = len(between) + m * widest + (m - 1) * len(gap)  # the widest term
-                t = 1
-                while t < m - 1 and q ** (t + 1) * width <= _CHUNK:
-                    t += 1
-                stems, lasts = spelled(m - t)
-                suffixes = spelled(t)
-                kept = {1: kept[1], t: suffixes, m - t: (stems, lasts)}
-                # after[e]: "", then the words of length t that may follow a
-                # last digit e: all but the block that begins with its inverse
-                texts, block = suffixes[0], q ** (t - 1)
-                after = [[]] + [
-                    ["", *texts[:i], *texts[i + block :]]
-                    for i in ((_inverse_digit(e) - 1) * block for e in follow[0])
-                ]
-                # (between + stem + gap).join(after[e]) is between, then each
-                # word the stem begins, between them too
-                per = max(1, _CHUNK // (q**t * width))  # stems per chunk
-                skip = len(close) + (not comma)  # the first "between" closes no term
-                for a in range(0, len(stems), per):
-                    b = a + per
-                    heads = [between + p + gap for p in stems[a:b]]
-                    chunk = "".join(map(str.join, heads, map(after.__getitem__, lasts[a:b])))
-                    yield chunk[skip:] if skip else chunk
-                    skip = 0
-                yield close
-                comma = ","
-                continue
-            words = _level(m, rank)
-        for w, c in zip(words, coeffs):
-            if not c:
-                continue
-            end = ends.get(c)
-            if end is None:
-                coeff = f'","coeff":"{c}"}}'
-                end = ends[c] = [coeff, *(tail + coeff for tail in tails[1:])]
-            p = w >> k
-            if not p:
-                out.append('{"word":"' + lone[w] + end[0])
-                continue
-            if p != last:
-                last = p
-                head = '{"word":"' + spell(p)
-                if len(out) >= 256:
-                    yield comma
-                    yield ",".join(out)
-                    out.clear()
-                    comma = ","
-            out.append(head + end[w & mask])
-    if out:
+
+    def flush() -> Iterator[str]:
+        nonlocal comma
         yield comma
         yield ",".join(out)
+        out.clear()
+        comma = ","
+
+    yield f'{{"rank":{rank},"terms":['
+    for m, coeffs in classes.items():
+        if m >= 2 and coeffs.count(coeffs[0]) == len(coeffs):
+            if not coeffs[0]:
+                continue
+            if out:
+                yield from flush()
+            close = f'","coeff":"{coeffs[0]}"}}'
+            between = close + ',{"word":"'  # between two words of the class
+            width = len(between) + m * widest + (m - 1) * len(gap)  # the widest term
+            t = 1
+            while t < m - 1 and q ** (t + 1) * width <= _CHUNK:
+                t += 1
+            stems, lasts = spelled(m - t)
+            suffixes = spelled(t)
+            kept = {1: kept[1], t: suffixes, m - t: (stems, lasts)}
+            # after[e]: "", then the words of length t that may follow a
+            # last digit e: all but the block that begins with its inverse
+            texts, block = suffixes[0], q ** (t - 1)
+            after = [[]] + [
+                ["", *texts[:i], *texts[i + block :]]
+                for i in ((_inverse_digit(e) - 1) * block for e in follow[0])
+            ]
+            # (between + stem + gap).join(after[e]) is between, then each
+            # word the stem begins, between them too
+            per = max(1, _CHUNK // (q**t * width))  # stems per chunk
+            skip = len(close) + (not comma)  # the first "between" closes no term
+            for a in range(0, len(stems), per):
+                b = a + per
+                heads = [between + p + gap for p in stems[a:b]]
+                chunk = "".join(map(str.join, heads, map(after.__getitem__, lasts[a:b])))
+                yield chunk[skip:] if skip else chunk
+                skip = 0
+            yield close
+            comma = ","
+            continue
+        for w, c in zip(_level(m, rank), coeffs):
+            if c:
+                out.append(f'{{"word":"{spell(w) if m > 1 else lone[w]}","coeff":"{c}"}}')
+                if len(out) >= 256:
+                    yield from flush()
+    if out:
+        yield from flush()
     yield "]}\n"

@@ -159,8 +159,8 @@ def test_traced_ring_calls(monkeypatch):
 
 # fpmom.words defines the packed word format; other modules import these
 PACKED_FORMAT_HELPERS = {
-    "_letter_bits", "_inverse_digit", "_packed_length", "_length_runs", "_speller", "_follow",
-    "_level", "_level_index", "_terms_json",
+    "_letter_bits", "_inverse_digit", "_packed_length", "_speller", "_follow", "_level",
+    "_level_index", "_terms_json",
 }
 
 
@@ -179,6 +179,19 @@ def test_words_owns_the_packed_format():
             }
             assert not defined & PACKED_FORMAT_HELPERS, module.__name__
     assert fpmom.Word.__slots__ == ("_packed", "_rank")
+
+
+def test_only_expand_uses_the_terms_writer():
+    # RingElement.to_json is the reference that expand's writer is checked
+    # against, so it must not spell through that writer
+    for module in _modules():
+        if module.__name__ in ("fpmom.words", "fpmom.cli"):
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                assert "_terms_json" not in {alias.name for alias in node.names}, module.__name__
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "_terms_json", module.__name__
 
 
 # Public calls with a bool or an out-of-range int: each must raise TypeError

@@ -488,7 +488,8 @@ def test_decimal_path_writes_the_int_engines_bytes_at_the_gate(capsys, rank):
             assert (code, out) == (0, want), (n, fmt)
     above = _first_order_above(fpmom.recurrence._ROW_GATE, rank)
     for n in (above - 1, above):
-        rows = [(m, str(c)) for m, c in fpmom.decomposition_of(n, rank).rows()]
+        d = fpmom.decomposition_of(n, rank)
+        rows = [(m, str(c)) for m, c in zip(range(n, -1, -2), reversed(d.classes))]
         for fmt in ("csv", "json"):
             args = SimpleNamespace(format=fmt, rank=rank, power=n)
             payload = fpmom.cli._xdecomp_payload(args, rows)

@@ -546,13 +546,17 @@ def _reference_json(rank, terms):
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-# supports of 19,531, 7,381, 2,863 and 39,364 terms: the writer spells each
-# class one stem at a time, several chunks per class, and rank 5 spells
-# generator 5 both as "g5" and as "e"
+# supports of 19,531, 7,381, 2,863 and 39,364 terms: to_json spells each
+# term on its own, the writer each class one stem at a time, several chunks
+# per class, and rank 5 spells generator 5 both as "g5" and as "e"
 @pytest.mark.parametrize("rank, n", [(3, 6), (5, 4), (27, 2), (2, 9)])
 def test_json_text_of_powers_matches_reference(rank, n):
     x = power(generating_operator(rank), n)
-    assert x.to_json() == _reference_json(rank, dict(x.terms))
+    text = _reference_json(rank, dict(x.terms))
+    assert x.to_json() == text
+    for _, classes in iter_power_classes(rank, n):
+        pass
+    assert "".join(_terms_json(rank, classes)) == text
 
 
 # the longest class built at each rank: 5 (k = 2), 4 (k = 3), 3 (k = 4),
@@ -562,12 +566,14 @@ _CLASS_LENGTHS = {1: 5, 2: 4, 5: 3, 8: 3, 27: 2}
 
 @pytest.mark.parametrize("rank", sorted(_CLASS_LENGTHS))
 def test_json_spells_whole_classes_and_other_runs_alike(rank):
-    # to_json spells a whole class with one coefficient one stem at a time
-    # and any other run term by term; each class m >= 2 comes whole, whole
-    # with one term changed, or with one word missing, beside the identity
-    # and the lone letters (at rank 5, "g5")
+    # _terms_json spells a whole class with one coefficient one stem at a
+    # time and any other class term by term, and to_json spells every term
+    # on its own; each class m >= 2 comes whole, whole with one term
+    # changed, or with one word missing, beside the identity and the lone
+    # letters (at rank 5, "g5")
     rng = random.Random(4400 + rank)
-    lengths = range(2, _CLASS_LENGTHS[rank] + 1)
+    top = _CLASS_LENGTHS[rank]
+    lengths = range(2, top + 1)
     classes = {m: list(radial_sum(m, rank).terms) for m in lengths}
     for kinds in itertools.product(("whole", "changed", "missing"), repeat=len(lengths)):
         terms = {Word(rank=rank): 7, **dict.fromkeys(radial_sum(1, rank).terms, -2)}
@@ -580,28 +586,27 @@ def test_json_spells_whole_classes_and_other_runs_alike(rank):
                 terms[odd] = c + 1
             elif kind == "missing":
                 del terms[odd]
-        assert RingElement(rank, terms).to_json() == _reference_json(rank, terms)
+        text = _reference_json(rank, terms)
+        assert RingElement(rank, terms).to_json() == text
+        packed = {word._packed: c for word, c in terms.items()}
+        lists = {m: [packed.get(w, 0) for w in _level(m, rank)] for m in range(top + 1)}
+        assert "".join(_terms_json(rank, lists)) == text
 
 
 @pytest.mark.parametrize("chunk", [40, 300, 5000])
 @pytest.mark.parametrize("rank, n", [(1, 7), (2, 7), (5, 4), (27, 2)])
 def test_json_chunks_stay_bounded_at_any_bound(monkeypatch, rank, n, chunk):
     # a small bound cuts terms, packs several stems in a chunk or takes
-    # short stems; whole classes and runs spelled term by term both join
-    # to the same text
+    # short stems, and the chunks still join to the whole text
     for _, classes in iter_power_classes(rank, n):
         pass
     terms = dict(power(generating_operator(rank), n).terms)
     monkeypatch.setattr(fpmom.words, "_CHUNK", chunk)
-    for runs in (
-        [(m, None, coeffs) for m, coeffs in classes.items()],
-        [(m, _level(m, rank), coeffs) for m, coeffs in classes.items()],
-    ):
-        chunks = list(_terms_json(rank, runs))
-        text = "".join(chunks)
-        assert text == _reference_json(rank, terms)
-        assert max(map(len, chunks)) <= chunk
-        assert len(chunks) > 1 or len(text) <= chunk
+    chunks = list(_terms_json(rank, classes))
+    text = "".join(chunks)
+    assert text == _reference_json(rank, terms)
+    assert max(map(len, chunks)) <= chunk
+    assert len(chunks) > 1 or len(text) <= chunk
 
 
 def test_coefficient_refuses_a_non_word():

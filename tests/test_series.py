@@ -293,7 +293,7 @@ def test_argument_checks_raise_at_the_call(call, error):
         lambda rows: write_json({"rank": 2}, rows),
         lambda rows: write_csv(rows),
         lambda rows: write_tex(rows),
-        lambda rows: _terms_json(2, rows),
+        lambda rows: _terms_json(2, {1: rows}),
     ],
     ids=["series", "json", "csv", "tex", "terms"],
 )

@@ -8,7 +8,6 @@ from fpmom.words import (
     _CHUNK,
     Word,
     _chunks,
-    _length_runs,
     _level,
     _level_index,
     format_word,
@@ -122,34 +121,6 @@ def test_spelling_is_injective(rank, max_length):
     # last compact rank, and the first indexed one
     words = [word for m in range(max_length + 1) for word in radial_sum(m, rank).terms]
     assert len({format_word(word) for word in words}) == len(words)
-
-
-@pytest.mark.parametrize("rank", range(1, 9))
-def test_length_runs_split_sorted_words_by_length(rank):
-    # the largest digit, 2N, fills all k bits of a letter, so a word that
-    # starts with it has a bit length that is a multiple of k, the edge of a
-    # run; the identity, 0, is a run of its own
-    k = (2 * rank).bit_length()
-    top = [Word([-rank] * m, rank=rank) for m in range(1, 5)]
-    assert all(w._packed.bit_length() == len(w) * k for w in top)
-    first = [Word([1] * m, rank=rank) for m in range(1, 5)]
-    for words in (
-        [Word(rank=rank), *top, *first],
-        [*top[::2], *first[1::2]],
-        [top[2], Word([1, -rank], rank=rank), Word([-rank, 1, 1], rank=rank)],
-        [Word(rank=rank)],
-        [],
-    ):
-        keys = sorted(w._packed for w in words)
-        runs = list(_length_runs(keys, k))
-        lengths = [len(Word._of(w, rank).codes) for w in keys]
-        end = 0
-        for m, i, j in runs:
-            assert end == i < j
-            assert set(lengths[i:j]) == {m}
-            end = j
-        assert end == len(keys)
-        assert [m for m, _, _ in runs] == sorted(set(lengths))
 
 
 def test_equality_includes_rank():
