@@ -11,11 +11,10 @@ recurrence is verified against.  Besides the constructor and
 Terms are keyed by packed words, the ints that ``Word`` itself stores
 (see the ``fpmom.words`` module docstring for the format), so the
 product kernel appends letters by shifting ints, and sorting the keys
-sorts the words.  A right factor of one-letter words, such as G in every
-``power`` and ``iter_powers`` of G, takes a one-letter path: the letters
-that extend a word give keys no other term shares, so they fill the
-product in one dict comprehension, and only the cancellations are
-looked up.  ``Word`` stays the type of the public API: the
+sorts the words.  Every product, powers of G included, runs that one
+kernel letter by letter, so the reference shares no step with
+``iter_power_classes``, the expansion it checks, and refuses a power of
+G on the same caps.  ``Word`` stays the type of the public API: the
 constructor and ``coefficient`` read a word's int, ``terms`` wraps each
 int in a ``Word``, and ``to_json`` spells the sorted ints directly, one
 term at a time.  It shares no code with ``fpmom.words._terms_json``, the
@@ -192,52 +191,16 @@ def multiply(x: RingElement, y: RingElement, support_cap: int | None = None) -> 
     The letters of each right-hand word are appended to each left-hand
     word one at a time; a letter cancels the last one when they are
     inverse, and once one letter stays no later letter of a reduced
-    word can cancel.
-
-    When every right-hand word is one letter (0 < v <= mask), the
-    product of u and a letter d that does not cancel u's last letter is
-    (u << k) | d, from which ``>> k`` and ``& mask`` give u and d back, so
-    these keys are distinct and fill the map without lookups; the
-    cancellations u >> k are folded in after, and zeros dropped.  The
-    extensions are counted before the map is built, so a product that
-    cannot cancel to zero, such as a power of G times G, refuses exactly
-    when the letter loop would.
+    word can cancel.  A power of G times G refuses on the same caps as
+    ``iter_power_classes``: no coefficient cancels to zero, so the
+    accumulator grows to the product's support, which the extensions
+    never outnumber.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
     cap = _effective_cap(support_cap)
     k = _letter_bits(x.rank)
     mask = (1 << k) - 1
-    xt, yt = x._terms, y._terms
-    if yt and 0 not in yt and max(yt) <= mask:
-        # grow[e]: the letters of y, with coefficients, that do not cancel a
-        # last digit e (0: the identity); back[e]: the coefficient of the one that does
-        last = range(2 * x.rank + 1)
-        grow = [[(d, cv) for d, cv in yt.items() if d != _inverse_digit(e)] for e in last]
-        back = [None, *(yt.get(_inverse_digit(e)) for e in last[1:])]
-        if len(xt) * len(yt) > cap:
-            needed = sum(len(grow[u & mask]) for u in xt)
-            if needed > cap:
-                raise SupportCapError(needed, cap, "product")
-        acc = {
-            s | d: cu * cv
-            for u, cu in xt.items()
-            for s in (u << k,)  # one shift per u
-            for d, cv in grow[u & mask]
-        }
-        get = acc.get
-        for u, cu in xt.items():
-            cv = back[u & mask]
-            if cv:
-                w = u >> k
-                c = get(w, 0) + cu * cv
-                if c:
-                    acc[w] = c
-                else:
-                    del acc[w]
-        if len(acc) > cap:
-            raise SupportCapError(len(acc), cap, "product")
-        return _raw(x.rank, acc)
     right = []
     for v, cv in y._terms.items():
         letters = []
@@ -325,7 +288,7 @@ def iter_power_classes(
     Each power is the last times G, taken a class at a time by the group
     law (``_times_g``), with no ``RingElement`` and no assumption that a
     class is constant.  Powers of G hold every word of each class they
-    reach, so the cap refuses as ``multiply`` does on the same powers:
+    reach, so the cap refuses where ``multiply`` does on the same powers:
     before a product when its extensions alone exceed the cap, and after
     it when its support does.
     """

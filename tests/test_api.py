@@ -194,6 +194,40 @@ def test_only_expand_uses_the_terms_writer():
                 assert node.attr != "_terms_json", module.__name__
 
 
+DICT_RING_NAMES = {
+    "multiply",
+    "power",
+    "iter_powers",
+    "RingElement",
+    "radial_sum",
+    "generating_operator",
+    "conditional_expectation",
+}
+
+
+def test_only_the_ring_uses_the_dict_ring():
+    # the dict ring is the reference that the class lists are checked
+    # against, so no command may expand through it.  A module reaches it by
+    # importing one of its names, or by reading one off fpmom or fpmom.ring
+    # (`power` alone is also a decomposition's field and a local name).
+    # fpmom's __init__, which re-exports it, is not among the modules walked.
+    for module in _modules():
+        if module.__name__ == "fpmom.ring":
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+                if (node.module or "").endswith("ring"):
+                    assert "*" not in used, module.__name__
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in (
+                "fpmom", "ring", "fpmom.ring"
+            ):
+                used = {node.attr}
+            else:
+                continue
+            assert not used & DICT_RING_NAMES, (module.__name__, used & DICT_RING_NAMES)
+
+
 # Public calls with a bool or an out-of-range int: each must raise TypeError
 # for the bool, or ValueError naming the caller's own parameter.
 G2 = fpmom.generating_operator(2)

@@ -485,7 +485,8 @@ def test_packed_product_matches_word_product(rank):
 
 @pytest.mark.parametrize("rank", _KERNEL_RANKS)
 def test_one_letter_product_matches_word_product(rank):
-    # a right factor of one-letter words takes multiply's one-letter path
+    # the one letter-by-letter kernel on right factors of one-letter words,
+    # including a sum that cancels to zero
     rng = random.Random(4150 + rank)
     letters = [c for i in range(1, rank + 1) for c in (i, -i)]
     for _ in range(20):
@@ -670,22 +671,33 @@ def test_power_classes_match_iter_powers(rank, n):
     assert list(iter_power_classes(rank, 0)) == []
 
 
-@pytest.mark.parametrize("rank, n, support", [(2, 5, 364), (2, 6, 1093), (3, 4, 781)])
+# (rank, n, support) -> the count that iter_power_classes names when it
+# refuses G**n at cap support - 1 and support - 2: the extensions of the
+# last product when they exceed the cap, else its support (at even n the
+# extensions miss the identity, so they number support - 1)
+_CLASS_REFUSALS = {(2, 5, 364): (364, 364), (2, 6, 1093): (1093, 1092), (3, 4, 781): (781, 780)}
+
+
+@pytest.mark.parametrize("rank, n, support", list(_CLASS_REFUSALS))
 def test_power_classes_refuse_where_power_does(rank, n, support):
-    # refused before a product whose extensions exceed the cap, and after one
-    # whose support does, naming the same count as multiply
+    # both refuse at the same caps, naming the same cap; the class lists
+    # refuse before a product whose extensions exceed the cap and after one
+    # whose support does, and multiply once its accumulator does, so the
+    # counts they name may differ
     g = generating_operator(rank)
-    for cap in (support, support - 1, support - 2):
-        try:
-            expected = power(g, n, support_cap=cap).support_size
-        except SupportCapError as exc:
-            expected = str(exc)
-        try:
-            *_, (_, classes) = iter_power_classes(rank, n, support_cap=cap)
-            got = sum(map(len, classes.values()))
-        except SupportCapError as exc:
-            got = str(exc)
-        assert got == expected
+    assert power(g, n, support_cap=support).support_size == support
+    *_, (_, classes) = iter_power_classes(rank, n, support_cap=support)
+    assert sum(map(len, classes.values())) == support
+    for cap, needed in zip((support - 1, support - 2), _CLASS_REFUSALS[rank, n, support]):
+        with pytest.raises(SupportCapError) as by_power:
+            power(g, n, support_cap=cap)
+        with pytest.raises(SupportCapError) as by_classes:
+            list(iter_power_classes(rank, n, support_cap=cap))
+        assert by_power.value.cap == by_classes.value.cap == cap
+        assert str(by_classes.value) == (
+            f"product needs at least {needed} terms but the support cap is {cap}; "
+            "raise the cap to proceed"
+        )
 
 
 @pytest.mark.parametrize("rank", (2, 3, 4, 8, 27))
