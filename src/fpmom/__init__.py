@@ -19,18 +19,16 @@ from .words import (
     Word,
     format_word,
     reduced_word_count,
+    subgroup_word,
 )
 from .ring import (
-    DEFAULT_SUPPORT_CAP,
     RingElement,
-    SupportCapError,
     conditional_expectation,
     generating_operator,
     iter_powers,
     multiply,
     power,
     radial_sum,
-    subgroup_word,
 )
 from .recurrence import (
     RadialDecomposition,
@@ -40,8 +38,10 @@ from .recurrence import (
     scalar_moment,
 )
 from .oracle import (
+    DEFAULT_SUPPORT_CAP,
     DiffReport,
     Mismatch,
+    SupportCapError,
     brute_force_budget,
     returning_walks,
     self_test,

@@ -47,8 +47,7 @@ from .recurrence import (
     _scalar_moments,
     decomposition_of,
 )
-from .ring import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes
-from .oracle import self_test, verify
+from .oracle import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes, self_test, verify
 from .series import (
     FORMATS,
     amalgamated_rows,

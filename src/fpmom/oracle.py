@@ -1,8 +1,10 @@
-"""Independent checks for the radial recurrence.
+"""Independent checks for the radial recurrence: both oracles and ``verify``.
 
 Two oracles with different failure modes back the engine:
 
-* full group-ring expansion of G^n (exact but exponential in n), and
+* full group-ring expansion of G^n (exact but exponential in n), one
+  coefficient list per word length, times G by two list operations per
+  class (``iter_power_classes``, which ``expand`` runs too), and
 * a count of the walks on the 2N-regular tree that return to the root.
   The distance from the root of a walk reading a word equals the word's
   reduced length, so these walks count exactly the identity terms of G^n.
@@ -19,15 +21,15 @@ returns, W = 1/(1 - R), and C = 1 + qxC^2 with q + 1 = 2N gives
     W (1 - (2N)^2 x) = 1 - 2Nqx C(qx).
 
 Reading off x^k gives a_k = (2N)^2 a_(k-1) - 2N Cat(k-1) q^k from
-a_0 = 1, where a_k counts the returning walks of length 2k: O(1) big-int
-operations per order (``returning_walks``).  It is a different recurrence
+a_0 = 1, where a_k counts the returning walks of length 2k: with
+2N Cat(k-1) q^k carried as one value, each order takes linear time
+(``returning_walks``).  It is a different recurrence
 from the P-recurrence that ``fpmom.recurrence`` derives for the same
 numbers, so the check is not one recurrence written two ways.
 
 ``verify`` checks the scalar moments of the P-recurrence against the
 tree oracle to the requested order, and against the group ring up to
-the ring limit, which may be 0.  There it expands each power of G once,
-as one coefficient list per word length in sorted word order
+the ring limit, which may be 0.  There it expands each power of G once
 (``iter_power_classes``), and checks its trace (the length-0 entry)
 against the P-recurrence, and its conditional expectation (the entry of
 each h^k, found by its index in its class) and its radiality (each class
@@ -42,7 +44,7 @@ actually detected.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .laurent import LaurentPolynomial
 from .recurrence import (
@@ -52,7 +54,6 @@ from .recurrence import (
     decomposition_of,
     iter_even_decompositions,
 )
-from .ring import iter_power_classes, subgroup_word
 from .words import (
     Word,
     _level,
@@ -60,16 +61,41 @@ from .words import (
     _require_int,
     format_word,
     reduced_word_count,
+    subgroup_word,
 )
 
 __all__ = [
+    "DEFAULT_SUPPORT_CAP",
+    "SupportCapError",
     "Mismatch",
     "DiffReport",
     "returning_walks",
     "brute_force_budget",
+    "iter_power_classes",
     "verify",
     "self_test",
 ]
+
+DEFAULT_SUPPORT_CAP = 10**8
+
+
+class SupportCapError(RuntimeError):
+    """An expansion would exceed the configured number of stored terms."""
+
+    def __init__(self, needed: int, cap: int, what: str = "expansion"):
+        super().__init__(
+            f"{what} needs at least {needed} terms but the support cap is {cap}; "
+            "raise the cap to proceed"
+        )
+        self.needed = needed
+        self.cap = cap
+
+
+def _effective_cap(support_cap: int | None) -> int:
+    if support_cap is None:
+        return DEFAULT_SUPPORT_CAP
+    _require_int("support_cap", support_cap, 1)
+    return support_cap
 
 
 class Mismatch(NamedTuple):
@@ -130,8 +156,9 @@ def returning_walks(rank: int, max_steps: int) -> list[int]:
 
     which reads off W (1 - (2N)^2 x) = 1 - 2Nqx C(qx) for the returning
     walks W = 1/(1 - 2Nx C(qx)) (module docstring).  Cat(k) comes from
-    Cat(k-1) 2(2k-1)/(k+1).  Raises ``ValueError`` when that division is
-    not exact or a count is not positive.  Odd lengths never return: 0.
+    Cat(k-1) 2(2k-1)/(k+1), beside the running product 2N Cat(k-1) q^k.
+    Raises ``ValueError`` when that division is not exact or a count is
+    not positive.  Odd lengths never return: 0.
 
     >>> returning_walks(2, 8)
     [1, 0, 4, 0, 28, 0, 232, 0, 2092]
@@ -141,16 +168,16 @@ def returning_walks(rank: int, max_steps: int) -> list[int]:
     two_n, q = 2 * rank, 2 * rank - 1
     counts = [0] * (max_steps + 1)
     counts[0] = 1
-    a, cat, q_k = 1, 1, 1  # a_(k-1), Cat(k-1), q^(k-1)
+    a, cat, term = 1, 1, two_n * q  # a_(k-1), Cat(k-1), 2N Cat(k-1) q^k
     for k in range(1, max_steps // 2 + 1):
-        q_k *= q
-        a = two_n * two_n * a - two_n * cat * q_k
+        a = two_n * two_n * a - term
         if a <= 0:
             raise ValueError(f"first-return count broke at length {2 * k}")
         counts[2 * k] = a
-        cat, rest = divmod(cat * 2 * (2 * k - 1), k + 1)
+        cat, rest = divmod(cat * (4 * k - 2), k + 1)
         if rest:
             raise ValueError(f"Catalan number Cat({k}) is not an integer")
+        term = term * (q * (4 * k - 2)) // (k + 1)
     return counts
 
 
@@ -169,6 +196,68 @@ def brute_force_budget(rank: int) -> int:
     while n < _HARD_MAX and reduced_word_count(n + 1, rank) <= _TERM_BUDGET:
         n += 1
     return n
+
+
+def _times_g(classes: Mapping[int, list[int]], rank: int) -> dict[int, list[int]]:
+    """The classes of x G from the classes of x, shortest first.
+
+    classes[m] lists x's coefficients on the words of length m in
+    ``_level(m, rank)`` order, where a 0 is a missing word.  A word of
+    length m times a letter either extends it to one of its q = 2N - 1
+    children, the block i q ... i q + q - 1 below the word at index i
+    (the 2N letters below the identity), or cancels its last letter and
+    gives its parent.  So class m of x G is class m - 1 with each
+    coefficient repeated over its block of children, plus class m + 1
+    with each block of children summed onto its parent.
+    """
+    q = 2 * rank - 1
+    product = {}
+    for m in sorted({m + s for m in classes for s in (-1, 1)} - {-1}):
+        low, up = classes.get(m - 1), classes.get(m + 1)
+        columns = []
+        if low is not None:
+            width = 2 * rank if m == 1 else q  # children of each word of class m - 1
+            grown = [0] * (len(low) * width)
+            for t in range(width):
+                grown[t::width] = low
+            columns.append(grown)
+        if up is None:
+            product[m] = grown
+            continue
+        # one iterator repeated in zip: each tuple takes one block of children
+        columns += [iter(up)] * (2 * rank if m == 0 else q)
+        product[m] = list(map(sum, zip(*columns)))
+    return product
+
+
+def iter_power_classes(
+    rank: int, max_order: int, support_cap: int | None = None
+) -> Iterator[tuple[int, dict[int, list[int]]]]:
+    """Yield (n, classes) for n = 1..max_order, where classes maps each
+    word length m of G**n to its coefficients on the words of length m, in
+    canonical order (``fpmom.words._level``'s); a 0 would be a missing word.
+
+    Each power is the last times G, taken a class at a time by the group
+    law (``_times_g``), with no ``RingElement`` and no assumption that a
+    class is constant.  Powers of G hold every word of each class they
+    reach, so the cap refuses where the reference ``fpmom.ring.multiply``
+    does on the same powers: before a product when its extensions alone
+    exceed the cap, and after it when its support does.
+    """
+    _require_int("rank", rank, 1)
+    _require_int("max_order", max_order, 0)
+    cap = _effective_cap(support_cap)
+    q = 2 * rank - 1
+    classes = {0: [1]}
+    for n in range(1, max_order + 1):
+        needed = sum(len(c) * (q if m else 2 * rank) for m, c in classes.items())
+        if needed > cap:
+            raise SupportCapError(needed, cap, "product")
+        classes = _times_g(classes, rank)
+        support = sum(map(len, classes.values()))
+        if support > cap:
+            raise SupportCapError(support, cap, "product")
+        yield n, classes
 
 
 def verify(

@@ -1,4 +1,4 @@
-"""Exact sparse products in the integer group ring Z[F_N].
+"""Exact sparse products in the integer group ring Z[F_N]: the reference.
 
 Elements are finite Z-linear combinations of reduced words with Python
 int coefficients, stored as a word -> coefficient map with no zero
@@ -13,21 +13,16 @@ Terms are keyed by packed words, the ints that ``Word`` itself stores
 product kernel appends letters by shifting ints, and sorting the keys
 sorts the words.  Every product, powers of G included, runs that one
 kernel letter by letter, so the reference shares no step with
-``iter_power_classes``, the expansion it checks, and refuses a power of
-G on the same caps.  ``Word`` stays the type of the public API: the
-constructor and ``coefficient`` read a word's int, ``terms`` wraps each
-int in a ``Word``, and ``to_json`` spells the sorted ints directly, one
-term at a time.  It shares no code with ``fpmom.words._terms_json``, the
-writer of the ``expand`` command, so the two spellings check each other.
+``fpmom.oracle.iter_power_classes``, the expansion it checks, and
+refuses a power of G on the same caps.  ``Word`` stays the type of the
+public API: the constructor and ``coefficient`` read a word's int,
+``terms`` wraps each int in a ``Word``, and ``to_json`` spells the
+sorted ints directly, one term at a time, sharing no code with
+``expand``'s writer ``fpmom.words._terms_json``: each checks the other.
 
-``iter_power_classes``, the expansion that ``verify`` and ``expand``
-run, skips elements and keys: it holds each power of G as one
-coefficient list per word length, in sorted word order, and multiplies
-by G with two list operations per class (``_times_g``).
-
-Supports of powers of the generating operator grow like (2N-1)^n, so
-every expanding operation takes a term cap (default ``10**8``) and
-refuses with :class:`SupportCapError` rather than exhausting memory.
+No command runs it.  Supports grow like (2N-1)^n, so every expanding
+operation refuses with :class:`SupportCapError` past the term cap that
+``fpmom.oracle`` defines for its expansion (default ``10**8``).
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPolynomial
+from .oracle import SupportCapError, _effective_cap
 from .words import (
     Word,
     _inverse_digit,
@@ -47,42 +43,18 @@ from .words import (
     _speller,
     format_word,
     reduced_word_count,
+    subgroup_word,
 )
 
 __all__ = [
-    "DEFAULT_SUPPORT_CAP",
-    "SupportCapError",
     "RingElement",
     "multiply",
     "power",
     "iter_powers",
-    "iter_power_classes",
     "radial_sum",
     "generating_operator",
-    "subgroup_word",
     "conditional_expectation",
 ]
-
-DEFAULT_SUPPORT_CAP = 10**8
-
-
-class SupportCapError(RuntimeError):
-    """An expansion would exceed the configured number of stored terms."""
-
-    def __init__(self, needed: int, cap: int, what: str = "expansion"):
-        super().__init__(
-            f"{what} needs at least {needed} terms but the support cap is {cap}; "
-            "raise the cap to proceed"
-        )
-        self.needed = needed
-        self.cap = cap
-
-
-def _effective_cap(support_cap: int | None) -> int:
-    if support_cap is None:
-        return DEFAULT_SUPPORT_CAP
-    _require_int("support_cap", support_cap, 1)
-    return support_cap
 
 
 def _raw(rank: int, terms: dict[int, int]) -> "RingElement":
@@ -192,9 +164,9 @@ def multiply(x: RingElement, y: RingElement, support_cap: int | None = None) -> 
     word one at a time; a letter cancels the last one when they are
     inverse, and once one letter stays no later letter of a reduced
     word can cancel.  A power of G times G refuses on the same caps as
-    ``iter_power_classes``: no coefficient cancels to zero, so the
-    accumulator grows to the product's support, which the extensions
-    never outnumber.
+    ``fpmom.oracle.iter_power_classes``: no coefficient cancels to zero,
+    so the accumulator grows to the product's support, which the
+    extensions never outnumber.
     """
     if x.rank != y.rank:
         raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
@@ -246,68 +218,6 @@ def iter_powers(
         yield n, acc
 
 
-def _times_g(classes: Mapping[int, list[int]], rank: int) -> dict[int, list[int]]:
-    """The classes of x G from the classes of x, shortest first.
-
-    classes[m] lists x's coefficients on the words of length m in
-    ``_level(m, rank)`` order, where a 0 is a missing word.  A word of
-    length m times a letter either extends it to one of its q = 2N - 1
-    children, the block i q ... i q + q - 1 below the word at index i
-    (the 2N letters below the identity), or cancels its last letter and
-    gives its parent.  So class m of x G is class m - 1 with each
-    coefficient repeated over its block of children, plus class m + 1
-    with each block of children summed onto its parent.
-    """
-    q = 2 * rank - 1
-    product = {}
-    for m in sorted({m + s for m in classes for s in (-1, 1)} - {-1}):
-        low, up = classes.get(m - 1), classes.get(m + 1)
-        columns = []
-        if low is not None:
-            width = 2 * rank if m == 1 else q  # children of each word of class m - 1
-            grown = [0] * (len(low) * width)
-            for t in range(width):
-                grown[t::width] = low
-            columns.append(grown)
-        if up is None:
-            product[m] = grown
-            continue
-        # one iterator repeated in zip: each tuple takes one block of children
-        columns += [iter(up)] * (2 * rank if m == 0 else q)
-        product[m] = list(map(sum, zip(*columns)))
-    return product
-
-
-def iter_power_classes(
-    rank: int, max_order: int, support_cap: int | None = None
-) -> Iterator[tuple[int, dict[int, list[int]]]]:
-    """Yield (n, classes) for n = 1..max_order, where classes maps each
-    word length m of G**n to its coefficients on the words of length m, in
-    canonical order (``fpmom.words._level``'s); a 0 would be a missing word.
-
-    Each power is the last times G, taken a class at a time by the group
-    law (``_times_g``), with no ``RingElement`` and no assumption that a
-    class is constant.  Powers of G hold every word of each class they
-    reach, so the cap refuses where ``multiply`` does on the same powers:
-    before a product when its extensions alone exceed the cap, and after
-    it when its support does.
-    """
-    _require_int("rank", rank, 1)
-    _require_int("max_order", max_order, 0)
-    cap = _effective_cap(support_cap)
-    q = 2 * rank - 1
-    classes = {0: [1]}
-    for n in range(1, max_order + 1):
-        needed = sum(len(c) * (q if m else 2 * rank) for m, c in classes.items())
-        if needed > cap:
-            raise SupportCapError(needed, cap, "product")
-        classes = _times_g(classes, rank)
-        support = sum(map(len, classes.values()))
-        if support > cap:
-            raise SupportCapError(support, cap, "product")
-        yield n, classes
-
-
 def radial_sum(n: int, rank: int, support_cap: int | None = None) -> RingElement:
     """Sum of all reduced words of length n, each with coefficient 1."""
     _require_int("n", n, 0)
@@ -322,32 +232,6 @@ def radial_sum(n: int, rank: int, support_cap: int | None = None) -> RingElement
 def generating_operator(rank: int) -> RingElement:
     """Sum of the generators and their inverses (the length-1 radial sum)."""
     return radial_sum(1, rank)
-
-
-def subgroup_word(rank: int, k: int = 1) -> Word:
-    """h**k for h = g1 g2 ... gN g1^-1 g2^-1 ... gN^-1, the generator of the
-    cyclic subgroup that ``conditional_expectation`` projects onto.
-
-    h is reduced and cyclically reduced, so h**k is the |k|-fold
-    concatenation of h, or of h^-1 when k < 0, and has length 2N|k|.  At
-    rank 1 h is the identity, so rank >= 2 is required.
-
-    >>> format_word(subgroup_word(2))
-    'abAB'
-    >>> format_word(subgroup_word(2, -2))
-    'baBAbaBA'
-    """
-    _require_int("rank", rank, 2)
-    if type(k) is not int:
-        raise TypeError(f"k must be an int, got {type(k).__name__}")
-    codes = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
-    h = Word(codes, rank=rank)
-    base = (h if k >= 0 else h.inverse())._packed
-    step = 2 * rank * _letter_bits(rank)
-    # base repeated |k| times: base times the repunit 1 + 2^step + 2^(2 step) + ...,
-    # whose division by a divisor of a few machine words takes linear time
-    repunit = ((1 << step * abs(k)) - 1) // ((1 << step) - 1)
-    return Word._of(base * repunit, rank)
 
 
 def conditional_expectation(x: RingElement) -> LaurentPolynomial:

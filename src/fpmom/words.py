@@ -24,7 +24,7 @@ The identity is 0, and no digit is 0, so
 
 Sorted, the words of one length m form one class of 2N(2N-1)^(m-1)
 words, the order ``_level`` lists; ``_level_index`` gives a word's index
-in it.
+in it.  ``subgroup_word`` packs the paper's h**k by repeating h's int.
 
 Spelling
 --------
@@ -52,6 +52,7 @@ __all__ = [
     "Word",
     "format_word",
     "reduced_word_count",
+    "subgroup_word",
 ]
 
 
@@ -219,6 +220,32 @@ def reduced_word_count(length: int, rank: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
+def subgroup_word(rank: int, k: int = 1) -> Word:
+    """h**k for h = g1 g2 ... gN g1^-1 g2^-1 ... gN^-1, the generator of the
+    cyclic subgroup that the amalgamated moments project onto.
+
+    h is reduced and cyclically reduced, so h**k is the |k|-fold
+    concatenation of h, or of h^-1 when k < 0, and has length 2N|k|.  At
+    rank 1 h is the identity, so rank >= 2 is required.
+
+    >>> format_word(subgroup_word(2))
+    'abAB'
+    >>> format_word(subgroup_word(2, -2))
+    'baBAbaBA'
+    """
+    _require_int("rank", rank, 2)
+    if type(k) is not int:
+        raise TypeError(f"k must be an int, got {type(k).__name__}")
+    codes = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
+    h = Word(codes, rank=rank)
+    base = (h if k >= 0 else h.inverse())._packed
+    step = 2 * rank * _letter_bits(rank)
+    # base repeated |k| times: base times the repunit 1 + 2^step + 2^(2 step) + ...,
+    # whose division by a divisor of a few machine words takes linear time
+    repunit = ((1 << step * abs(k)) - 1) // ((1 << step) - 1)
+    return Word._of(base * repunit, rank)
+
+
 def _follow(rank: int) -> list[Sequence[int]]:
     """follow[d]: the digits, ascending, that may follow a last digit d in a
     reduced word; follow[0], after the empty word, is every digit."""
@@ -298,7 +325,7 @@ def _terms_json(rank: int, classes: Mapping[int, Sequence[int]]) -> Iterator[str
     The ``expand`` command writes the chunks.  classes maps each word
     length m, shortest first, to the coefficients of the whole class of
     length m in ``_level(m, rank)`` order, where a 0 is a missing word: the
-    classes that ``fpmom.ring.iter_power_classes`` yields.  A class
+    classes that ``fpmom.oracle.iter_power_classes`` yields.  A class
     m >= 2 with one coefficient lists, stem by stem, each stem (a word of
     length m - t) followed by every word of length t that may follow it,
     so it is spelled one join per stem from the spelled words of lengths

@@ -26,9 +26,8 @@ from fpmom.ring import (
     generating_operator,
     iter_powers,
     multiply,
-    subgroup_word,
 )
-from fpmom.words import Word, format_word
+from fpmom.words import Word, format_word, subgroup_word
 
 
 @contextmanager

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fpmom
+import fpmom.oracle
 import fpmom.ring
 import fpmom.series
 from fpmom.recurrence import decomposition_of
@@ -166,14 +167,8 @@ PACKED_FORMAT_HELPERS = {
 
 def test_words_owns_the_packed_format():
     for module in _modules():
-        tree = ast.parse(inspect.getsource(module))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                (node.level == 1 and node.module == "ring") or node.module == "fpmom.ring"
-            ):
-                private = [alias.name for alias in node.names if alias.name.startswith("_")]
-                assert not private, (module.__name__, private)
         if module.__name__ != "fpmom.words":
+            tree = ast.parse(inspect.getsource(module))
             defined = {
                 node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             }
@@ -194,38 +189,44 @@ def test_only_expand_uses_the_terms_writer():
                 assert node.attr != "_terms_json", module.__name__
 
 
-DICT_RING_NAMES = {
-    "multiply",
-    "power",
-    "iter_powers",
-    "RingElement",
-    "radial_sum",
-    "generating_operator",
-    "conditional_expectation",
-}
+def _imported(tree):
+    """Every module, or name in a module, that a module's imports bind, as a
+    full dotted name; each fpmom module sits in the package itself, so a
+    relative import starts at fpmom."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["fpmom" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
 def test_only_the_ring_uses_the_dict_ring():
     # the dict ring is the reference that the class lists are checked
-    # against, so no command may expand through it.  A module reaches it by
-    # importing one of its names, or by reading one off fpmom or fpmom.ring
-    # (`power` alone is also a decomposition's field and a local name).
-    # fpmom's __init__, which re-exports it, is not among the modules walked.
+    # against, so no other module may import it or read an attribute of
+    # it, and it takes from fpmom.oracle at most the cap, its rule and its
+    # error.  fpmom's __init__, which re-exports it, is not walked.
     for module in _modules():
+        tree = ast.parse(inspect.getsource(module))
+        imported = set(_imported(tree))
         if module.__name__ == "fpmom.ring":
+            assert {name for name in imported if name.startswith("fpmom.oracle")} <= {
+                "fpmom.oracle",
+                "fpmom.oracle.DEFAULT_SUPPORT_CAP",
+                "fpmom.oracle.SupportCapError",
+                "fpmom.oracle._effective_cap",
+            }
+            assert module.SupportCapError is fpmom.oracle.SupportCapError
             continue
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(node, ast.ImportFrom):
-                used = {alias.name for alias in node.names}
-                if (node.module or "").endswith("ring"):
-                    assert "*" not in used, module.__name__
-            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in (
-                "fpmom", "ring", "fpmom.ring"
-            ):
-                used = {node.attr}
-            else:
-                continue
-            assert not used & DICT_RING_NAMES, (module.__name__, used & DICT_RING_NAMES)
+        assert "fpmom.ring" not in imported, module.__name__
+        reads = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value) in ("ring", "fpmom.ring")
+        ]
+        assert not reads, (module.__name__, reads)
 
 
 # Public calls with a bool or an out-of-range int: each must raise TypeError
@@ -269,10 +270,10 @@ BAD_INT_CALLS = {
     "power-bool-exponent": (lambda: fpmom.power(G2, True), TypeError, "n"),
     "iter_powers-negative": (lambda: list(fpmom.iter_powers(G2, -1)), ValueError, "max_order"),
     "iter_power_classes-negative": (
-        lambda: list(fpmom.ring.iter_power_classes(2, -1)), ValueError, "max_order"
+        lambda: list(fpmom.oracle.iter_power_classes(2, -1)), ValueError, "max_order"
     ),
     "iter_power_classes-bool-rank": (
-        lambda: list(fpmom.ring.iter_power_classes(True, 2)), TypeError, "rank"
+        lambda: list(fpmom.oracle.iter_power_classes(True, 2)), TypeError, "rank"
     ),
     "verify-order-0": (lambda: fpmom.verify(2, 0), ValueError, "max_order"),
     "scalar_series-order-0": (lambda: fpmom.scalar_series(2, 0), ValueError, "max_order"),

@@ -20,7 +20,7 @@ import fpmom.recurrence
 import fpmom.series
 import fpmom.words
 from fpmom.cli import _COMMANDS, _read_canonical, build_parser, main
-from fpmom.ring import iter_power_classes
+from fpmom.oracle import iter_power_classes
 
 
 def run(capsys, *argv):
@@ -247,14 +247,24 @@ def test_output_file(tmp_path, capsys):
     [["scalar", "--max-order", "4"], ["verify", "--max-order", "4"]],
     ids=["scalar", "verify"],
 )
-@pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["missing-parent", "directory"])
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, where):
-    # a missing parent directory, or a path that is a directory
+@pytest.mark.parametrize(
+    "where, reason",
+    [
+        ("missing/out.json", "No such file or directory"),
+        (".", "Is a directory"),
+        ("file/out.json", "Not a directory"),
+    ],
+    ids=["missing-parent", "directory", "file-parent"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command, where, reason):
+    # a missing parent directory, a path that is a directory, or a parent
+    # that is a regular file
+    (tmp_path / "file").touch()
     target = tmp_path / where
     code, out, err = run(capsys, *command, "--output", str(target))
     assert code == 2
     assert out == ""
-    assert f"error: cannot write {target}" in err
+    assert err == f"error: cannot write {target}: {reason}\n"
 
 
 def test_unwritable_output_is_refused_before_computing(tmp_path, capsys, monkeypatch):

@@ -137,6 +137,24 @@ def test_radiality_checks_the_even_walk(monkeypatch):
     assert [m.location for m in amalgamated.mismatches] == ["order 6: conditional expectation"]
 
 
+def test_verify_records_a_group_ring_trace_mismatch(monkeypatch):
+    # a fault in the identity term of the expanded G^4 reaches the scalar
+    # report as a ring trace that differs from the P-recurrence
+    real = fpmom.oracle.iter_power_classes
+
+    def wrong_trace(*args, **kwargs):
+        for n, classes in real(*args, **kwargs):
+            if n == 4:
+                classes = {**classes, 0: [classes[0][0] + 1]}  # G^5 still comes from G^4
+            yield n, classes
+
+    monkeypatch.setattr(fpmom.oracle, "iter_power_classes", wrong_trace)
+    scalar, amalgamated, radiality = verify(2, 6)
+    assert scalar.mismatches == [Mismatch("order 4: group-ring trace", "29", "28")]
+    assert [m.location for m in amalgamated.mismatches] == ["order 4: conditional expectation"]
+    assert radiality.mismatches == [Mismatch("order 4, length 0: radial coefficient", "28", "29")]
+
+
 def test_radiality_compares_the_chain_with_the_row_recurrence(monkeypatch):
     real_row = fpmom.recurrence._radial_row
 

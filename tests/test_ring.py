@@ -6,22 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpmom.laurent import LaurentPolynomial
+from fpmom.oracle import DEFAULT_SUPPORT_CAP, SupportCapError, _times_g, iter_power_classes
 from fpmom.ring import (
-    DEFAULT_SUPPORT_CAP,
     RingElement,
-    SupportCapError,
     conditional_expectation,
-    _times_g,
     generating_operator,
-    iter_power_classes,
     iter_powers,
     multiply,
     power,
     radial_sum,
-    subgroup_word,
 )
 import fpmom.words
-from fpmom.words import Word, _level, _terms_json, format_word, reduced_word_count
+from fpmom.words import Word, _level, _terms_json, format_word, reduced_word_count, subgroup_word
 
 
 def _combination(*scaled):
@@ -570,15 +566,17 @@ def test_json_spells_whole_classes_and_other_runs_alike(rank):
     # _terms_json spells a whole class with one coefficient one stem at a
     # time and any other class term by term, and to_json spells every term
     # on its own; each class m >= 2 comes whole, whole with one term
-    # changed, or with one word missing, beside the identity and the lone
-    # letters (at rank 5, "g5")
+    # changed, with one word missing, or as zeros only, which the writer
+    # skips, beside the identity and the lone letters (at rank 5, "g5")
     rng = random.Random(4400 + rank)
     top = _CLASS_LENGTHS[rank]
     lengths = range(2, top + 1)
     classes = {m: list(radial_sum(m, rank).terms) for m in lengths}
-    for kinds in itertools.product(("whole", "changed", "missing"), repeat=len(lengths)):
+    for kinds in itertools.product(("whole", "changed", "missing", "zero"), repeat=len(lengths)):
         terms = {Word(rank=rank): 7, **dict.fromkeys(radial_sum(1, rank).terms, -2)}
         for m, kind in zip(lengths, kinds):
+            if kind == "zero":
+                continue
             c = rng.choice((1, -3, 12345678901234567890))
             words = classes[m]
             terms.update(dict.fromkeys(words, c))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fpmom.ring import RingElement, multiply, radial_sum, subgroup_word
+from fpmom.ring import RingElement, multiply, radial_sum
 from fpmom.words import (
     _CHUNK,
     Word,
@@ -12,6 +12,7 @@ from fpmom.words import (
     _level_index,
     format_word,
     reduced_word_count,
+    subgroup_word,
 )
 
 
