@@ -10,7 +10,7 @@ brute-force group-ring expansion and walk counting on the 2N-regular
 tree.  All arithmetic is exact: the library computes in Python integers,
 and the ``scalar`` and ``xdecomp`` commands run their recurrences in
 exact ``decimal`` arithmetic when the values grow long enough that
-spelling them as integers would dominate the run (``fpmom.recurrence``).
+spelling them as integers would dominate the run (``fpmom.series``).
 """
 
 from ._version import TOOL_VERSION as __version__

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: it parses, checks and writes.
 
     fpmom scalar  --rank 2 --max-order 8 --format json
     fpmom amalg   --rank 2 --max-order 12 --format csv
@@ -7,26 +7,23 @@
     fpmom verify  --rank 2 --max-order 12 --oracle both
     fpmom verify  --self-test
 
-Data goes to stdout (or --output), diagnostics to stderr.  Every command
-streams its data: the writers yield text in bounded chunks
-(``fpmom.words._CHUNK`` characters at most), and `_write_output` writes
-each chunk as it comes, so a run never holds its whole output; a write
-that fails mid-run (a full disk, a closed pipe) can leave partial
-output behind.  Exit codes: 0 success, 1 verification failure, 2 usage
-error (including an --output or a stdout that cannot be written; a
-missing parent directory, a directory or an empty path is refused before
-any computation), 3 resource cap hit.
 Each subcommand's flags are declared once, in the table `_COMMANDS`.  `main`
-reads a canonical argv (a command, then each flag at most once as
-``--flag value``) straight off that table, so a plain run never imports
-argparse; any other argv goes to the argparse parser that `build_parser`
-builds from the same table, which alone writes help, usage and errors.
-Each int flag is checked once, by its type `_at_least`, on either path.
-`expand` and `verify` expand powers of G in the group ring, and
---support-cap bounds their stored terms.  `verify --oracle tree` runs the
-tree oracle alone and expands nothing, so it refuses --ring-max-order and
+reads a canonical argv straight off it, without argparse; any other argv
+goes to the argparse parser of `build_parser`, built from the same table,
+which alone writes help, usage and errors.  A series command is one call
+of the function of the same name in ``fpmom.series``, which picks the
+number type and returns the text chunks; `expand` and `verify` run
+``fpmom.oracle``, whose expansions --support-cap bounds.  Since
+`verify --oracle tree` expands nothing, it refuses --ring-max-order and
 --support-cap (exit 2), and `verify --self-test` refuses those two and
---oracle.
+--oracle.  Data goes to stdout (or --output), diagnostics to stderr.
+`_write_output` writes each chunk (``fpmom.words._CHUNK`` characters at
+most) as it comes, so a run never holds its whole output; a write that
+fails mid-run (a full disk, a closed pipe) can leave partial output
+behind.  Exit codes: 0 success, 1 verification failure, 2 usage error
+(including an --output or a stdout that cannot be written; a missing
+parent directory, a directory or an empty path is refused before any
+computation), 3 resource cap hit.
 """
 
 from __future__ import annotations
@@ -37,30 +34,14 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
-from .recurrence import (
-    _ROW_GATE,
-    _SCALAR_GATE,
-    _exact_decimal,
-    _radial_row,
-    _scalar_moments,
-    decomposition_of,
-)
+from . import series
 from .oracle import DEFAULT_SUPPORT_CAP, SupportCapError, iter_power_classes, self_test, verify
-from .series import (
-    FORMATS,
-    amalgamated_rows,
-    scalar_series,
-    write_csv,
-    write_json,
-    write_series,
-)
 from .words import _terms_json
 
 if TYPE_CHECKING:
     import argparse
-    import decimal
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -116,33 +97,22 @@ def _check_output(args: argparse.Namespace) -> None:
     raise _UsageError(f"cannot write {path}: {os.strerror(err)}")
 
 
-def _write_output(
-    args: argparse.Namespace, chunks: Iterable[str], context: decimal.Context | None = None
-) -> None:
+def _write_output(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write each chunk, as it comes, to --output or to stdout; a failed
-    write exits 2 either way.  A decimal ``context`` is the current one
-    while the chunks are made, so an engine that yields them runs in it."""
-    if context is not None:
-        from decimal import localcontext
-
-        with localcontext(context):
-            return _write_output(args, chunks)
-    if args.output is None:
-        out = sys.stdout
-        try:
-            for chunk in chunks:
-                out.write(chunk)
-            out.flush()
-        except OSError as exc:
-            _discard_at_exit(out)
-            raise _UsageError(f"cannot write stdout: {exc.strerror}")
-        return
+    write exits 2 either way."""
     try:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        if args.output is None:
             for chunk in chunks:
-                fh.write(chunk)
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
     except OSError as exc:
-        raise _UsageError(f"cannot write {args.output}: {exc.strerror}")
+        if args.output is None:
+            _discard_at_exit(sys.stdout)
+        raise _UsageError(f"cannot write {args.output or 'stdout'}: {exc.strerror}")
 
 
 def _discard_at_exit(stream: TextIO) -> None:
@@ -167,46 +137,17 @@ def _point_at_devnull(fd: int) -> None:
 
 
 def cmd_scalar(args: argparse.Namespace) -> int:
-    context = _exact_decimal(args.max_order, args.rank, _SCALAR_GATE)
-    if context is None:
-        values = scalar_series(args.rank, args.max_order)
-    else:  # the P-recurrence runs in decimal as the rows are read
-        values = _scalar_moments(args.rank, args.max_order, context.create_decimal(1))
-    rows = enumerate(map(str, values), 1)
-    chunks = write_series(args.format, args.rank, "scalar", args.max_order, rows)
-    _write_output(args, chunks, context)
+    _write_output(args, series.scalar(args.rank, args.max_order, args.format))
     return EXIT_OK
 
 
 def cmd_amalg(args: argparse.Namespace) -> int:
-    rows = amalgamated_rows(args.rank, args.max_order)
-    _write_output(args, write_series(args.format, args.rank, "amalgamated", args.max_order, rows))
+    _write_output(args, series.amalg(args.rank, args.max_order, args.format))
     return EXIT_OK
 
 
-def _xdecomp_payload(args: argparse.Namespace, rows: Iterable[tuple[int, str]]) -> Iterator[str]:
-    if args.format == "json":
-        fields = {"rank": args.rank, "power": args.power}
-        return write_json(fields, rows, names=("m", "coeff"), entries="coeffs")
-    return write_csv(rows, header="m,coefficient")
-
-
-def _xdecomp_rows(
-    power: int, rank: int, context: decimal.Context | None
-) -> Iterator[tuple[int, str]]:
-    """(m, c_m) of G^power, longest class first, with c_m spelled.  The
-    row is built at the first read, in decimal when ``context`` is given."""
-    if context is None:
-        classes = decomposition_of(power, rank).classes
-    else:
-        classes = _radial_row(power, rank, context.create_decimal(1))
-    yield from zip(range(power, -1, -2), map(str, reversed(classes)))
-
-
 def cmd_xdecomp(args: argparse.Namespace) -> int:
-    context = _exact_decimal(args.power, args.rank, _ROW_GATE)
-    rows = _xdecomp_rows(args.power, args.rank, context)
-    _write_output(args, _xdecomp_payload(args, rows), context)
+    _write_output(args, series.xdecomp(args.rank, args.power, args.format))
     if args.rank == 2 and args.power == 8:
         print(
             "note: the coefficients at lengths 2 and 0 are 958 and 2092; the values "
@@ -252,15 +193,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    out_lines = []
-    for report in reports:
-        out_lines.append(json.dumps(report.to_json_dict(), separators=(",", ":")))
-        print(
-            f"{report.subject}: {report.verdict.upper()} "
-            f"({len(report.mismatches)} mismatches)",
-            file=sys.stderr,
-        )
-    _write_output(args, ["\n".join(out_lines) + "\n"])
+    for r in reports:
+        verdict = f"{r.subject}: {r.verdict.upper()} ({len(r.mismatches)} mismatches)"
+        print(verdict, file=sys.stderr)
+    lines = [json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n" for r in reports]
+    _write_output(args, lines)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
@@ -283,12 +220,12 @@ _MAX_ORDER = ("--max-order", _at_least(1), None, True, None)
 _COMMANDS = {
     "scalar": (
         "scalar moment series",
-        (*_common(), _MAX_ORDER, ("--format", FORMATS, "json", False, None)),
+        (*_common(), _MAX_ORDER, ("--format", series.FORMATS, "json", False, None)),
     ),
     # at rank 1 the canonical subgroup generator degenerates to the identity
     "amalg": (
         "moment series over the canonical cyclic subgroup",
-        (*_common(least_rank=2), _MAX_ORDER, ("--format", FORMATS, "json", False, None)),
+        (*_common(least_rank=2), _MAX_ORDER, ("--format", series.FORMATS, "json", False, None)),
     ),
     "xdecomp": (
         "radial decomposition of one power",

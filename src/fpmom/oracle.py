@@ -27,23 +27,19 @@ a_0 = 1, where a_k counts the returning walks of length 2k: with
 from the P-recurrence that ``fpmom.recurrence`` derives for the same
 numbers, so the check is not one recurrence written two ways.
 
-``verify`` checks the scalar moments of the P-recurrence against the
-tree oracle to the requested order, and against the group ring up to
-the ring limit, which may be 0.  There it expands each power of G once
-(``iter_power_classes``), and checks its trace (the length-0 entry)
-against the P-recurrence, and its conditional expectation (the entry of
-each h^k, found by its index in its class) and its radiality (each class
-one coefficient, a 0 being a missing word) against the decomposition
-the commands ship for that power: the even walk's (``fpmom amalg``) at
-an even power, the row recurrence's (``fpmom xdecomp``) at an odd one.
-At an even power the radiality check also compares the two engines.
-It returns one :class:`DiffReport` per check;
-``self_test`` injects a deliberate fault to prove that disagreements are
-actually detected.
+``verify`` runs both oracles in one pass and returns one
+:class:`DiffReport` per check.  Its tree leg reads the P-recurrence and
+the first returns in step, so it holds a few moments at a time, not the
+whole sequences, whose n-th term has O(n) bits: memory stays linear in
+the order.  Up to the ring limit it expands each power of G once
+(``iter_power_classes``) and checks it against the engines the commands
+ship.  ``self_test`` injects a deliberate fault to prove that
+disagreements are actually detected.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .laurent import LaurentPolynomial
@@ -165,20 +161,26 @@ def returning_walks(rank: int, max_steps: int) -> list[int]:
     """
     _require_int("rank", rank, 1)
     _require_int("max_steps", max_steps, 0)
+    return list(_returning_walks(rank, max_steps))
+
+
+def _returning_walks(rank: int, max_steps: int) -> Iterator[int]:
+    """Yield the counts of ``returning_walks``, each after its checks."""
     two_n, q = 2 * rank, 2 * rank - 1
-    counts = [0] * (max_steps + 1)
-    counts[0] = 1
+    yield 1
     a, cat, term = 1, 1, two_n * q  # a_(k-1), Cat(k-1), 2N Cat(k-1) q^k
     for k in range(1, max_steps // 2 + 1):
         a = two_n * two_n * a - term
         if a <= 0:
             raise ValueError(f"first-return count broke at length {2 * k}")
-        counts[2 * k] = a
         cat, rest = divmod(cat * (4 * k - 2), k + 1)
         if rest:
             raise ValueError(f"Catalan number Cat({k}) is not an integer")
         term = term * (q * (4 * k - 2)) // (k + 1)
-    return counts
+        yield 0
+        yield a
+    if max_steps % 2:
+        yield 0
 
 
 _TERM_BUDGET = 720_000
@@ -294,11 +296,11 @@ def verify(
         _require_int("ring_max_order", ring_max_order, 0)
     ring_limit = min(ring_max_order, max_order)
     scalar = DiffReport(f"scalar moments (rank {rank}, orders 1..{max_order})")
-    constants = list(_scalar_moments(rank, max_order))
     # tree-walk mismatches come first in the scalar report
-    _compare_tree(scalar, returning_walks(rank, max_order), constants)
+    _compare_tree(scalar, _returning_walks(rank, max_order), _scalar_moments(rank, max_order))
     if not ring_limit:
         return [scalar]
+    constants = list(_scalar_moments(rank, ring_limit))
 
     orders = f"orders 1..{ring_limit}"
     amalgamated = None
@@ -324,11 +326,12 @@ def verify(
     return [r for r in (scalar, amalgamated, radiality) if r is not None]
 
 
-def _compare_tree(report: DiffReport, counts: list[int], constants: Iterable[int]) -> None:
-    """Record every order n where tr(G^n) differs from the returning walks of length n."""
-    for n, actual in enumerate(constants, 1):
-        if counts[n] != actual:
-            report.record(f"order {n}: tree-walk count", counts[n], actual)
+def _compare_tree(report: DiffReport, counts: Iterable[int], constants: Iterable[int]) -> None:
+    """Record every order n where tr(G^n) differs from the returning walks
+    of length n, reading both in step; ``counts`` starts at length 0."""
+    for n, (count, actual) in enumerate(zip(islice(counts, 1, None), constants), 1):
+        if count != actual:
+            report.record(f"order {n}: tree-walk count", count, actual)
 
 
 def _expectation(rank: int, classes: Mapping[int, list[int]]) -> LaurentPolynomial:

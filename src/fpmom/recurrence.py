@@ -59,8 +59,8 @@ from a unit ``one``, so the same code runs on int and on
 ``decimal.Decimal``.  CPython spells an int in decimal in time quadratic
 in its digit count; a Decimal is spelled in linear time, and multiplying
 it by a small int or dividing it exactly by one is linear too.  So
-``fpmom scalar`` and ``fpmom xdecomp`` run these engines on Decimal above
-a gate, in the context ``_exact_decimal`` returns: precision
+``fpmom.series`` runs them on Decimal for ``scalar`` and ``xdecomp`` above
+a gate, chunk by chunk, in the context ``_exact_decimal`` returns: precision
 ``MAX_PREC``, exponents up to ``MAX_EMAX`` and down to ``MIN_EMIN``, with
 ``Inexact`` and ``Rounded`` trapped, so a value that would lose a digit
 raises instead of being written.  The gate reads the largest value,

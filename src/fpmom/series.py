@@ -1,4 +1,5 @@
-"""Moment rows, and one writer per output format (json, csv, tex).
+"""Moment rows, one writer per output format (json, csv, tex), and one
+call per series command.
 
 All coefficients are exact; big integers are written as decimal strings
 so JSON consumers never round.  Output is deterministic byte for byte.
@@ -13,15 +14,12 @@ most ``fpmom.words._CHUNK`` characters, which reads and spells the rows
 only as the chunks are asked for.  A decimal cell is copied into its
 row's piece; a polynomial's text, which can be long, is a piece of its
 own, so it is never copied before its chunk is joined.
-``scalar_series`` gives the values ``fpmom scalar`` writes below the
-decimal gate of ``fpmom.recurrence``; above it the command runs the same
-P-recurrence in exact decimal.
-``amalgamated_rows`` feeds the writers E(G^n) straight from the classes
-of the even powers, which ``iter_even_decompositions`` walks by X_1^2
-(an odd row is the zero cell), spelling each coefficient once for both
-h^k and h^-k, with no ``LaurentPolynomial`` on the way; ``fpmom amalg``
-writes through it, and ``fpmom xdecomp`` feeds its rows to
-``write_json`` and ``write_csv``.
+``scalar``, ``amalg`` and ``xdecomp`` return the chunks of the command of
+the same name, and are the one place that picks the number type: below
+the gates of ``fpmom.recurrence`` they read ``scalar_series`` and
+``decomposition_of``; above them the same engines run in exact decimal,
+whose context is current only while a chunk is made.  ``amalg`` reads
+``amalgamated_rows``, in int, with no ``LaurentPolynomial`` on the way.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from ._version import TOOL_VERSION
 from .laurent import _CSV_PREFIX, _csv_terms, _signed_sum, _tex_power
-from .recurrence import _scalar_moments, iter_even_decompositions
+from .recurrence import _ROW_GATE, _SCALAR_GATE, _exact_decimal, _radial_row, _scalar_moments
+from .recurrence import decomposition_of, iter_even_decompositions
 from .words import _chunks, _require_int
 
 __all__ = [
@@ -43,6 +42,9 @@ __all__ = [
     "write_csv",
     "write_tex",
     "write_series",
+    "scalar",
+    "amalg",
+    "xdecomp",
     "FORMATS",
 ]
 
@@ -178,3 +180,61 @@ def write_series(
     if fmt == "tex":
         return write_tex(rows)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def scalar(rank: int, max_order: int, fmt: str) -> Iterator[str]:
+    """The chunks of tr(G^n), n = 1..max_order, in one of FORMATS."""
+    _require_int("rank", rank, 1)
+    _require_int("max_order", max_order, 1)
+    context = _exact_decimal(max_order, rank, _SCALAR_GATE)
+    if context is None:
+        values = scalar_series(rank, max_order)
+    else:  # the P-recurrence runs as the rows are read
+        values = _scalar_moments(rank, max_order, context.create_decimal(1))
+    rows = enumerate(map(str, values), 1)
+    return _made_in(context, write_series(fmt, rank, "scalar", max_order, rows))
+
+
+def amalg(rank: int, max_order: int, fmt: str) -> Iterator[str]:
+    """The chunks of E(G^n), n = 1..max_order, in one of FORMATS."""
+    rows = amalgamated_rows(rank, max_order)
+    return write_series(fmt, rank, "amalgamated", max_order, rows)
+
+
+def xdecomp(rank: int, power: int, fmt: str) -> Iterator[str]:
+    """The chunks of the classes (m, c_m) of G^power, longest first, as
+    "csv" or "json"."""
+    _require_int("rank", rank, 1)
+    _require_int("power", power, 1)
+    context = _exact_decimal(power, rank, _ROW_GATE)
+    rows = _xdecomp_rows(power, rank, context)
+    if fmt == "json":
+        fields = {"rank": rank, "power": power}
+        chunks = write_json(fields, rows, names=("m", "coeff"), entries="coeffs")
+    elif fmt == "csv":
+        chunks = write_csv(rows, header="m,coefficient")
+    else:
+        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    return _made_in(context, chunks)
+
+
+def _xdecomp_rows(power: int, rank: int, context) -> Iterator[Row]:
+    """(m, c_m) of G^power, longest first, c_m spelled; built at the first read."""
+    if context is None:
+        classes = decomposition_of(power, rank).classes
+    else:
+        classes = _radial_row(power, rank, context.create_decimal(1))
+    yield from zip(range(power, -1, -2), map(str, reversed(classes)))
+
+
+def _made_in(context, chunks: Iterator[str]) -> Iterator[str]:
+    """``chunks``, each made with the decimal ``context`` current; as is for None."""
+    if context is None:
+        return chunks
+    from decimal import localcontext
+
+    def made():
+        with localcontext(context):
+            return next(chunks, None)
+
+    return iter(made, None)

@@ -280,6 +280,15 @@ BAD_INT_CALLS = {
     "amalgamated_rows-order-0": (
         lambda: fpmom.series.amalgamated_rows(2, 0), ValueError, "max_order"
     ),
+    "series.scalar-bool-order": (
+        lambda: fpmom.series.scalar(2, True, "json"), TypeError, "max_order"
+    ),
+    "series.amalg-rank-1": (lambda: fpmom.series.amalg(1, 4, "json"), ValueError, "rank"),
+    "series.xdecomp-power-0": (lambda: fpmom.series.xdecomp(2, 0, "csv"), ValueError, "power"),
+    # rank 0 puts these past the decimal gate, whose engines would raise only
+    # when the chunks are read
+    "series.scalar-rank-0": (lambda: fpmom.series.scalar(0, 3000, "json"), ValueError, "rank"),
+    "series.xdecomp-rank-0": (lambda: fpmom.series.xdecomp(0, 3000, "csv"), ValueError, "rank"),
     "subgroup_word-bool-rank": (lambda: fpmom.subgroup_word(True), TypeError, "rank"),
     "subgroup_word-rank-1": (lambda: fpmom.subgroup_word(1), ValueError, "rank"),
     "subgroup_word-bool-k": (lambda: fpmom.subgroup_word(2, True), TypeError, "k"),
@@ -325,6 +334,30 @@ def test_cli_int_flags_use_at_least():
                     isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in compare.ops
                 ):
                     assert "args." not in ast.unparse(compare), node.lineno
+
+
+def test_cli_leaves_the_number_type_to_series():
+    # fpmom.series alone picks int or exact decimal for a command; the CLI
+    # parses, checks and writes, so it reads no engine and no decimal name
+    import fpmom.cli
+
+    tree = ast.parse(inspect.getsource(fpmom.cli))
+    imported = set(_imported(tree))
+    assert not {name for name in imported if name.startswith("fpmom.recurrence")}
+    names = {part for name in imported for part in name.split(".")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not {"decimal", "localcontext"} & names
+    write = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_write_output"
+    )
+    assert ast.unparse(write.args).split(", ") == [
+        "args: argparse.Namespace", "chunks: Iterable[str]"
+    ]
 
 
 def test_cli_starts_without_dataclasses():

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import errno
 import hashlib
 import io
@@ -9,7 +10,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -294,7 +294,7 @@ def test_empty_output_is_refused_before_computing(capsys, monkeypatch, output):
     argv = ["scalar", "--max-order", "2", *output]
     assert (_read_canonical(argv) is None) == (output == ["--output="])
     calls = []
-    monkeypatch.setattr(fpmom.cli, "scalar_series", lambda *args: calls.append(args))
+    monkeypatch.setattr(fpmom.series, "scalar_series", lambda *args: calls.append(args))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -485,7 +485,7 @@ def _first_order_above(gate, rank):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 8])
-def test_decimal_path_writes_the_int_engines_bytes_at_the_gate(capsys, rank):
+def test_decimal_path_writes_the_int_engines_bytes_at_the_gate(capsys, monkeypatch, rank):
     above = _first_order_above(fpmom.recurrence._SCALAR_GATE, rank)
     for n in (above - 1, above):
         values = fpmom.series.scalar_series(rank, n)
@@ -498,15 +498,14 @@ def test_decimal_path_writes_the_int_engines_bytes_at_the_gate(capsys, rank):
             assert (code, out) == (0, want), (n, fmt)
     above = _first_order_above(fpmom.recurrence._ROW_GATE, rank)
     for n in (above - 1, above):
-        d = fpmom.decomposition_of(n, rank)
-        rows = [(m, str(c)) for m, c in zip(range(n, -1, -2), reversed(d.classes))]
         for fmt in ("csv", "json"):
-            args = SimpleNamespace(format=fmt, rank=rank, power=n)
-            payload = fpmom.cli._xdecomp_payload(args, rows)
+            with monkeypatch.context() as m:  # no gate: the int row recurrence
+                m.setattr(fpmom.series, "_exact_decimal", lambda *args: None)
+                want = "".join(fpmom.series.xdecomp(rank, n, fmt))
             code, out, _ = run(
                 capsys, "xdecomp", "--rank", str(rank), "--power", str(n), "--format", fmt
             )
-            assert (code, out) == (0, "".join(payload)), (n, fmt)
+            assert (code, out) == (0, want), (n, fmt)
 
 
 def test_decimal_is_imported_above_the_gate_only():
@@ -856,6 +855,28 @@ def test_failed_stdout_write_leaves_an_in_process_caller_its_stdout(monkeypatch,
     assert main(["scalar", "--max-order", "20"]) == 2
     assert sys.stderr.getvalue() == "error: cannot write stdout: No space left on device\n"
     assert registered == ([] if fd is None else [(fpmom.cli._point_at_devnull, fd)])
+
+
+def test_failed_write_mid_run_leaves_the_callers_decimal_context(monkeypatch):
+    # a scalar above the decimal gate stops between two chunks; the exact
+    # context was current only while the first one was made
+    written = []
+
+    class FailingSecondWrite(_FailingStdout):
+        def write(self, text):
+            if written:
+                super().write(text)
+            written.append(text)
+
+    monkeypatch.setattr(sys, "stdout", FailingSecondWrite(None))
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert fpmom.recurrence._exact_decimal(1100, 8, fpmom.recurrence._SCALAR_GATE)
+    with decimal.localcontext() as caller:
+        caller.prec = 7
+        assert main(["scalar", "--rank", "8", "--max-order", "1100"]) == 2
+        assert decimal.getcontext() is caller and caller.prec == 7
+    assert len(written) == 1
+    assert sys.stderr.getvalue() == "error: cannot write stdout: No space left on device\n"
 
 
 # Exit code, stdout and stderr of runs that argparse answers, recorded while

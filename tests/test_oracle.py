@@ -93,6 +93,18 @@ def test_tree_leg_holds_no_distance_table():
     assert peak < 2_000_000, peak
 
 
+def test_tree_leg_streams_the_moments():
+    # the tree leg compares the P-recurrence with the first returns in step;
+    # holding both sequences whole peaked at 4.56 MB on this call
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in verify(2, 6000, ring_max_order=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
 def test_constant_only_paths_walk_no_chain(monkeypatch):
     # Step counts, not timings: scalar moments, a single power and verify,
     # with or without its ring leg, take no chain step.

@@ -1,7 +1,10 @@
+import decimal
 import json
 
 import pytest
 
+import fpmom.recurrence
+import fpmom.series
 from fpmom.laurent import LaurentPolynomial
 from fpmom.recurrence import amalgamated_moment
 from fpmom.series import (
@@ -301,3 +304,33 @@ def test_writers_read_rows_only_when_iterated(call):
     chunks = call(_untouchable())
     with pytest.raises(pytest.fail.Exception):
         list(chunks)
+
+
+@pytest.mark.parametrize(
+    "command,gate",
+    [("scalar", "_SCALAR_GATE"), ("xdecomp", "_ROW_GATE")],
+)
+def test_commands_above_the_gate_leave_the_callers_decimal_context(monkeypatch, command, gate):
+    # the exact context is current only while a chunk is made: between
+    # chunks the caller's context holds, and the bytes are the int engine's
+    rank, n = 8, 1100
+    assert fpmom.recurrence._exact_decimal(n, rank, getattr(fpmom.recurrence, gate))
+    run = getattr(fpmom.series, command)
+    with monkeypatch.context() as m:
+        m.setattr(fpmom.series, "_exact_decimal", lambda *args: None)
+        want = "".join(run(rank, n, "csv"))
+    with decimal.localcontext() as caller:
+        caller.prec = 7
+        chunks = run(rank, n, "csv")
+        first = next(chunks)
+        assert decimal.getcontext() is caller and caller.prec == 7
+        rest = "".join(chunks)
+        assert decimal.getcontext() is caller and caller.prec == 7
+    assert len(first) < len(want)
+    assert first + rest == want
+
+
+@pytest.mark.parametrize("power", [4, 10**6], ids=["below-gate", "above-gate"])
+def test_xdecomp_refuses_an_unknown_format_at_the_call(power):
+    with pytest.raises(ValueError, match="unknown format 'tex'"):
+        fpmom.series.xdecomp(2, power, "tex")
